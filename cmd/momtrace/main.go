@@ -191,27 +191,37 @@ func main() {
 	vlHist := map[int]uint64{}
 	strideHist := map[int64]uint64{}
 	var total, wordOps, taken, branches uint64
+	classOf := make([]isa.Class, len(p.Insts))
+	for i := range p.Insts {
+		classOf[i] = p.Insts[i].Op.Info().Class
+	}
 	for {
-		d, ok := src.Next()
-		if !ok {
+		blk := src.NextBlock(1 << 16)
+		if len(blk.SI) == 0 {
 			break
 		}
-		total++
-		classCount[d.Class]++
-		switch {
-		case d.Class == isa.ClassBranch:
-			branches++
-			if d.Taken {
-				taken++
+		total += uint64(len(blk.SI))
+		strI := 0
+		for i, si := range blk.SI {
+			c := classOf[si]
+			classCount[c]++
+			switch {
+			case c == isa.ClassBranch:
+				branches++
+				if blk.Taken(i) {
+					taken++
+				}
+			case c.IsVector():
+				vl := blk.VL(i)
+				vlHist[vl]++
+				wordOps += uint64(vl)
+				if c.IsMem() {
+					strideHist[blk.Stride[strI]]++
+					strI++
+				}
+			default:
+				wordOps++
 			}
-		case d.Class.IsVector():
-			vlHist[d.VL]++
-			wordOps += uint64(d.VL)
-			if d.Class.IsMem() {
-				strideHist[d.Stride]++
-			}
-		default:
-			wordOps++
 		}
 	}
 	if err := src.Err(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -176,89 +175,40 @@ func (s *wideSlots) advance(frontier int64) {
 	s.base = frontier
 }
 
-// pool is a set of identical functional units.
-type pool struct {
-	busy []int64 // first cycle each unit is free
-}
-
-func newPool(n int) *pool { return &pool{busy: make([]int64, n)} }
-
-func (p *pool) empty() bool { return len(p.busy) == 0 }
-
-// minFree returns the earliest cycle any unit is free (0 if the pool is
-// empty; callers must check empty()).
-func (p *pool) minFree() int64 {
-	var m int64 = 1 << 62
-	for _, b := range p.busy {
-		if b < m {
-			m = b
+// leastBusy returns the functional unit that frees first across pools a
+// and b — a simple operation may also execute on a complex unit —
+// preferring pool a, then the lower index, on ties; nil if both pools are
+// empty. A pool holds one busy-until cycle (the first free cycle) per unit.
+func leastBusy(a, b []int64) *int64 {
+	var u *int64
+	best := int64(1) << 62
+	for i := range a {
+		if a[i] < best {
+			best, u = a[i], &a[i]
 		}
 	}
-	if m == 1<<62 {
-		m = 0
-	}
-	return m
-}
-
-// takeAt reserves the least-busy unit for occ cycles starting no earlier
-// than t; it returns the actual start cycle.
-func (p *pool) takeAt(t, occ int64) int64 {
-	best, bb := -1, int64(1)<<62
-	for i, b := range p.busy {
-		if b < bb {
-			bb, best = b, i
+	for i := range b {
+		if b[i] < best {
+			best, u = b[i], &b[i]
 		}
 	}
-	start := t
-	if bb > start {
-		start = bb
-	}
-	p.busy[best] = start + occ
-	return start
+	return u
 }
 
-// takeAll reserves every unit in the pool for occ cycles (multi-address
-// vector accesses reserve all memory ports).
-func (p *pool) takeAll(t, occ int64) int64 {
+// takeAll reserves every unit in the pool for occ cycles starting no
+// earlier than t (multi-address vector accesses reserve all memory ports);
+// it returns the actual start cycle.
+func takeAll(units []int64, t, occ int64) int64 {
 	start := t
-	for _, b := range p.busy {
+	for _, b := range units {
 		if b > start {
 			start = b
 		}
 	}
-	for i := range p.busy {
-		p.busy[i] = start + occ
+	for i := range units {
+		units[i] = start + occ
 	}
 	return start
-}
-
-// takeEither picks the least-busy unit across two pools (simple operations
-// may execute on complex units).
-func takeEither(a, b *pool, t, occ int64) int64 {
-	switch {
-	case a.empty():
-		return b.takeAt(t, occ)
-	case b.empty():
-		return a.takeAt(t, occ)
-	}
-	if a.minFree() <= b.minFree() {
-		return a.takeAt(t, occ)
-	}
-	return b.takeAt(t, occ)
-}
-
-func minFreeEither(a, b *pool) int64 {
-	switch {
-	case a.empty():
-		return b.minFree()
-	case b.empty():
-		return a.minFree()
-	}
-	am, bm := a.minFree(), b.minFree()
-	if am < bm {
-		return am
-	}
-	return bm
 }
 
 // storeWindow tracks in-flight stores for load-store ordering.
@@ -274,7 +224,9 @@ func newStoreWindow(n int) *storeWindow {
 
 func (w *storeWindow) add(lo, hi uint64, ready int64) {
 	w.lo[w.head], w.hi[w.head], w.ready[w.head] = lo, hi, ready
-	w.head = (w.head + 1) % len(w.lo)
+	if w.head++; w.head == len(w.lo) {
+		w.head = 0
+	}
 }
 
 // conflictReady returns the latest data-ready time among stores overlapping
@@ -329,7 +281,9 @@ type staticInst struct {
 	lat     int64
 	class   isa.Class
 	isMem   bool
+	isVec   bool  // vector memory access (carries a stride; VL elements)
 	isBR    bool  // unconditional branch (always predicted taken)
+	size    uint8 // element size in bytes of a memory access
 	dstKey  int32 // regKey of the destination, -1 if none
 	dstKind isa.RegKind
 	nsrc    uint8
@@ -347,6 +301,10 @@ func buildStatics(p *isa.Program) []staticInst {
 		st := &sts[i]
 		st.lat, st.class = int64(info.Lat), info.Class
 		st.isMem = info.Class.IsMem()
+		st.isVec = st.isMem && info.Class.IsVector()
+		if st.isMem {
+			st.size = uint8(in.Op.ElemSize())
+		}
 		st.isBR = in.Op == isa.BR
 		st.dstKey = -1
 		if dst.Valid() {
@@ -396,10 +354,13 @@ type runState struct {
 	pred    *bimodal
 	targets *btb
 
-	intS, intC *pool
-	fpS, fpC   *pool
-	medS, medC *pool
-	ports      *pool
+	// Functional-unit pools (see leastBusy), and per class the pools an
+	// instruction of that class may issue to.
+	intS, intC []int64
+	fpS, fpC   []int64
+	medS, medC []int64
+	ports      []int64
+	units      [16][2][]int64
 
 	dispatchSlots slots
 	commitSlots   slots
@@ -449,17 +410,9 @@ func acquireState(cfg *Config) *runState {
 
 func releaseState(rs *runState) { statePool.Put(rs) }
 
-// ensurePool resizes (or clears) a functional-unit pool in place.
-func ensurePool(pp **pool, n int) {
-	if p := *pp; p != nil && len(p.busy) == n {
-		clear(p.busy)
-		return
-	}
-	*pp = newPool(n)
-}
-
-// ensureRing resizes (or clears) an int64 ring; n <= 0 yields nil, which the
-// rename path tests for (a nil ring means unlimited in-flight writes).
+// ensureRing resizes (or clears) an int64 ring or unit pool; n <= 0 yields
+// nil, which the rename path tests for (a nil ring means unlimited
+// in-flight writes).
 func ensureRing(r []int64, n int) []int64 {
 	if n <= 0 {
 		return nil
@@ -504,13 +457,29 @@ func (rs *runState) ensure(cfg *Config) {
 		rs.targets = newBTB(cfg.BTBEntries)
 	}
 
-	ensurePool(&rs.intS, cfg.IntSimple)
-	ensurePool(&rs.intC, cfg.IntComplex)
-	ensurePool(&rs.fpS, cfg.FPSimple)
-	ensurePool(&rs.fpC, cfg.FPComplex)
-	ensurePool(&rs.medS, cfg.MedSimple)
-	ensurePool(&rs.medC, cfg.MedComplex)
-	ensurePool(&rs.ports, cfg.MemPorts)
+	rs.intS = ensureRing(rs.intS, cfg.IntSimple)
+	rs.intC = ensureRing(rs.intC, cfg.IntComplex)
+	rs.fpS = ensureRing(rs.fpS, cfg.FPSimple)
+	rs.fpC = ensureRing(rs.fpC, cfg.FPComplex)
+	rs.medS = ensureRing(rs.medS, cfg.MedSimple)
+	rs.medC = ensureRing(rs.medC, cfg.MedComplex)
+	rs.ports = ensureRing(rs.ports, cfg.MemPorts)
+	rs.units = [16][2][]int64{
+		isa.ClassIntSimple:  {rs.intS, rs.intC},
+		isa.ClassBranch:     {rs.intS, rs.intC},
+		isa.ClassCtl:        {rs.intS, rs.intC},
+		isa.ClassIntComplex: {rs.intC},
+		isa.ClassFPSimple:   {rs.fpS, rs.fpC},
+		isa.ClassFPComplex:  {rs.fpC},
+		isa.ClassMedSimple:  {rs.medS, rs.medC},
+		isa.ClassMomSimple:  {rs.medS, rs.medC},
+		isa.ClassMedComplex: {rs.medC},
+		isa.ClassMomComplex: {rs.medC},
+		isa.ClassLoad:       {rs.ports},
+		isa.ClassStore:      {rs.ports},
+		isa.ClassMomLoad:    {rs.ports},
+		isa.ClassMomStore:   {rs.ports},
+	}
 
 	rs.dispatchSlots = slots{width: cfg.Width}
 	rs.commitSlots = slots{width: cfg.Width}
@@ -565,23 +534,29 @@ func (s *Sim) Run(src trace.Source, maxInsts uint64) (Result, error) {
 	return res, src.Err()
 }
 
+// maxPull bounds one NextBlock request; sources return at most one chunk
+// (or one live block) per call anyway.
+const maxPull = 1 << 30
+
 // runSpan advances the detailed pipeline until rs.idx reaches limit, the
 // stream ends (more == false) or the source faults. Counters and profile
 // buckets accumulate into res; Cycles/Insts/Mem finalisation is the
 // caller's job, which is what lets Run and the sampled-window controller
-// share the exact same loop.
+// share the exact same loop. Records arrive in blocks of trace columns; a
+// block never holds more records than the span still needs, so a span
+// consumes exactly limit-rs.idx records of a long enough stream.
 func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res *Result, limit uint64, observer obs.Observer) (more bool, err error) {
 	cfg := &s.Cfg
 	memModel := s.Mem
+	allPorts := memModel.VectorReservesAllPorts()
 
 	pred, targets := rs.pred, rs.targets
-	intS, intC := rs.intS, rs.intC
-	fpS, fpC := rs.fpS, rs.fpC
-	medS, medC := rs.medS, rs.medC
+	units := &rs.units
 	ports := rs.ports
 	dispatchSlots, commitSlots := &rs.dispatchSlots, &rs.commitSlots
 	issueSlots := rs.issueSlots
 	robRing, lsqRing := rs.robRing, rs.lsqRing
+	robHead := int(rs.idx % uint64(len(robRing)))
 	lsqHead := rs.lsqHead
 	renameRing := &rs.renameRing
 	renameHead := &rs.renameHead
@@ -603,358 +578,308 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	more = true
 loop:
 	for idx < limit {
-		d, ok := src.Next()
-		if !ok {
+		blk := src.NextBlock(int(min(limit-idx, maxPull)))
+		if len(blk.SI) == 0 {
 			more = false
 			break
 		}
-		st := &statics[d.SI]
-		res.ByClass[st.class]++
+		eaI, strI := 0, 0
+		for i, si := range blk.SI {
+			st := &statics[si]
+			res.ByClass[st.class]++
 
-		// ---- fetch ----
-		if fetchUsed >= cfg.Width {
-			fetchCycle++
-			fetchUsed = 0
-		}
-		f := fetchCycle
-		fetchUsed++
+			// The record's memory operands, from the sparse columns.
+			var ea uint64
+			var stride int64
+			size := int(st.size)
+			isMem := st.isMem
+			if isMem {
+				ea = blk.EA[eaI]
+				eaI++
+				if st.isVec {
+					stride = blk.Stride[strI]
+					strI++
+				}
+			}
 
-		// ---- dispatch (rename + ROB/LSQ allocation) ----
-		earliest := f + int64(cfg.FrontDepth)
-		frontWait := earliest - lastDispatch // fetch arrived behind dispatch
-		if frontWait < 0 {
-			frontWait = 0
-		}
-		if earliest < lastDispatch {
-			earliest = lastDispatch
-		}
-		flowEarliest := earliest
-		if c := robRing[idx%uint64(cfg.ROBSize)]; c+1 > earliest {
-			earliest = c + 1
-		}
-		isMem := st.isMem
-		if isMem {
-			if c := lsqRing[lsqHead]; c+1 > earliest {
+			// ---- fetch ----
+			if fetchUsed >= cfg.Width {
+				fetchCycle++
+				fetchUsed = 0
+			}
+			f := fetchCycle
+			fetchUsed++
+
+			// ---- dispatch (rename + ROB/LSQ allocation) ----
+			earliest := f + int64(cfg.FrontDepth)
+			frontWait := earliest - lastDispatch // fetch arrived behind dispatch
+			if frontWait < 0 {
+				frontWait = 0
+			}
+			if earliest < lastDispatch {
+				earliest = lastDispatch
+			}
+			flowEarliest := earliest
+			if c := robRing[robHead]; c+1 > earliest {
 				earliest = c + 1
 			}
-		}
-		if st.dstKey >= 0 {
-			ring := renameRing[st.dstKind]
-			if ring != nil {
-				if c := ring[renameHead[st.dstKind]]; c+1 > earliest {
+			if isMem {
+				if c := lsqRing[lsqHead]; c+1 > earliest {
 					earliest = c + 1
 				}
 			}
-		}
-		structWait := earliest - flowEarliest // ROB/LSQ/rename back-pressure
-		dispatch := dispatchSlots.take(earliest)
-		frontWait += dispatch - earliest // dispatch-width overflow
-		lastDispatch = dispatch
-		issueSlots.advance(dispatch)
-
-		// ---- operand readiness ----
-		ready := dispatch + 1
-		for _, key := range st.srcKeys[:st.nsrc] {
-			if t := lastWriter[key]; t > ready {
-				ready = t
-			}
-		}
-
-		// ---- issue + execute ----
-		// Alongside the timing, each arm records how long the instruction
-		// waited at each stage (fuWait: unit busy, issWait: no issue slot,
-		// memWait: load data outstanding) for the cycle attribution below,
-		// and the cycle it won an issue slot (issueAt) for the observer.
-		var complete int64
-		var issWait, fuWait, memWait, issueAt int64
-		if observer != nil && isMem {
-			memBefore = memModel.Stats()
-		}
-		lat := st.lat
-		switch st.class {
-		case isa.ClassNop:
-			complete = ready
-			issueAt = ready
-
-		case isa.ClassIntSimple, isa.ClassBranch, isa.ClassCtl:
-			t0 := max(ready, minFreeEither(intS, intC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(intS, intC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassIntComplex:
-			t0 := max(ready, intC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := intC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassFPSimple:
-			t0 := max(ready, minFreeEither(fpS, fpC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(fpS, fpC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassFPComplex:
-			t0 := max(ready, fpC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := fpC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassMedSimple:
-			t0 := max(ready, minFreeEither(medS, medC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(medS, medC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMedComplex:
-			t0 := max(ready, medC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := medC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMomSimple, isa.ClassMomComplex:
-			// A matrix operation executes VL word-operations on one
-			// multimedia unit at MedLanes words per cycle; the result is
-			// architecturally complete when the last word drains.
-			occ := occupancy(d.VL, cfg.MedLanes)
-			var t0, start int64
-			if st.class == isa.ClassMomSimple {
-				t0 = max(ready, minFreeEither(medS, medC))
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = takeEither(medS, medC, c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 = max(ready, medC.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = medC.takeAt(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			complete = start + occ - 1 + lat
-			res.WordOps += uint64(d.VL)
-
-		case isa.ClassLoad:
-			res.Loads++
-			occ := int64(1)
-			if unaligned(d.EA, d.Size) {
-				occ = 2 // the port splits it into two aligned accesses
-			}
-			t0 := max(ready, ports.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := ports.takeAt(c, occ)
-			agDone := start + occ
-			lo, hi := d.EA, d.EA+uint64(d.Size)
-			memDone := memModel.Load(agDone, d.EA, d.Size)
-			if fwd := stores.conflictReady(lo, hi); fwd > 0 {
-				if fwd+1 > memDone {
-					memDone = fwd + 1
-				}
-			}
-			complete = memDone
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			memWait = complete - agDone
-			res.WordOps++
-
-		case isa.ClassStore:
-			res.Stores++
-			t0 := max(ready, ports.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := ports.takeAt(c, 1)
-			complete = max(start+1, ready)
-			stores.add(d.EA, d.EA+uint64(d.Size), complete)
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMomLoad:
-			res.Loads++
-			occ := occupancy(d.NElem, vecRate)
-			var start int64
-			if memModel.VectorReservesAllPorts() {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAll(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAt(c, 1)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			lo, hi := vecRange(d.EA, d.Stride, d.NElem, d.Size)
-			memDone := memModel.LoadVector(start+1, d.EA, d.Stride, d.NElem, vecRate)
-			if fwd := stores.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
-				memDone = fwd + 1
-			}
-			complete = memDone
-			if memWait = complete - (start + occ); memWait < 0 {
-				memWait = 0
-			}
-			res.WordOps += uint64(d.NElem)
-
-		case isa.ClassMomStore:
-			res.Stores++
-			occ := occupancy(d.NElem, vecRate)
-			var start int64
-			if memModel.VectorReservesAllPorts() {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAll(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAt(c, 1)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			complete = max(start+occ, ready)
-			lo, hi := vecRange(d.EA, d.Stride, d.NElem, d.Size)
-			stores.add(lo, hi, complete)
-			res.WordOps += uint64(d.NElem)
-
-		default:
-			err = fmt.Errorf("cpu: unhandled class %v", st.class)
-			break loop
-		}
-
-		// ---- commit (in order, width per cycle) ----
-		preCommit := commitSlots.take(max(complete+1, lastCommit))
-		commit := preCommit
-		switch st.class {
-		case isa.ClassStore:
-			if acc := memModel.Store(commit, d.EA, d.Size); acc > commit {
-				commit = commitSlots.take(acc)
-			}
-		case isa.ClassMomStore:
-			if acc := memModel.StoreVector(commit, d.EA, d.Stride, d.NElem, vecRate); acc > commit {
-				commit = commitSlots.take(acc)
-			}
-		}
-
-		// ---- cycle attribution ----
-		// The commit frontier advanced adv cycles while graduating this
-		// instruction: one is the useful commit cycle, any gap between the
-		// store-accept push and preCommit stalled on the write buffer, and
-		// the rest is charged to the stage this instruction waited on
-		// longest (ties go to the earlier pipeline stage in list order).
-		var evCommitted, evExecGap, evStoreGap int64
-		evBucket := obs.BucketDepLatency
-		if adv := commit - profFrontier; adv > 0 {
-			prof.Commit++
-			evCommitted = 1
-			execGap := preCommit - profFrontier - 1
-			if execGap < 0 {
-				execGap = 0
-			}
-			if storeGap := adv - 1 - execGap; storeGap > 0 {
-				prof.StoreCommit += storeGap
-				evStoreGap = storeGap
-			}
-			if execGap > 0 {
-				cause, best := &prof.DepLatency, ready-(dispatch+1)
-				bucket := obs.BucketDepLatency
-				if frontWait > best {
-					cause, best = &prof.Frontend, frontWait
-					bucket = obs.BucketFrontend
-					if f == redirectCycle {
-						cause = &prof.Mispredict
-						bucket = obs.BucketMispredict
+			if st.dstKey >= 0 {
+				ring := renameRing[st.dstKind]
+				if ring != nil {
+					if c := ring[renameHead[st.dstKind]]; c+1 > earliest {
+						earliest = c + 1
 					}
 				}
-				if structWait > best {
-					cause, best = &prof.RenameROB, structWait
-					bucket = obs.BucketRenameROB
-				}
-				if issWait > best {
-					cause, best = &prof.IssueQueue, issWait
-					bucket = obs.BucketIssueQueue
-				}
-				if fuWait > best {
-					cause, best = &prof.FU, fuWait
-					bucket = obs.BucketFU
-				}
-				if memWait > best {
-					cause = &prof.MemWait
-					bucket = obs.BucketMemWait
-				}
-				*cause += execGap
-				evBucket = bucket
-				evExecGap = execGap
 			}
-		}
-		profFrontier = commit
-		lastCommit = commit
-		robRing[idx%uint64(cfg.ROBSize)] = commit
-		if isMem {
-			lsqRing[lsqHead] = commit
-			lsqHead = (lsqHead + 1) % cfg.LSQSize
-		}
-		if st.dstKey >= 0 {
-			lastWriter[st.dstKey] = complete
-			if ring := renameRing[st.dstKind]; ring != nil {
-				ring[renameHead[st.dstKind]] = commit
-				renameHead[st.dstKind] = (renameHead[st.dstKind] + 1) % len(ring)
-			}
-		}
+			structWait := earliest - flowEarliest // ROB/LSQ/rename back-pressure
+			dispatch := dispatchSlots.take(earliest)
+			frontWait += dispatch - earliest // dispatch-width overflow
+			lastDispatch = dispatch
+			issueSlots.advance(dispatch)
 
-		if observer != nil {
-			emitEvent(observer, memModel, &memBefore, &rs.ev, idx, d, st, isMem,
-				f, dispatch, issueAt, complete, commit,
-				evCommitted, evBucket, evExecGap, evStoreGap)
-		}
-
-		// ---- branch resolution and fetch redirect ----
-		if st.class == isa.ClassBranch {
-			res.Branches++
-			predTaken := st.isBR || pred.predict(d.SI)
-			btbHit := targets.hit(d.SI)
-			if !st.isBR {
-				pred.update(d.SI, d.Taken)
-			}
-			if d.Taken {
-				targets.insert(d.SI)
-			}
-			switch {
-			case d.Taken != predTaken:
-				res.Mispredicts++
-				r := complete + 1 + int64(cfg.MispredictPenalty)
-				if r > fetchCycle {
-					fetchCycle = r
-					redirectCycle = r
+			// ---- operand readiness ----
+			ready := dispatch + 1
+			for _, key := range st.srcKeys[:st.nsrc] {
+				if t := lastWriter[key]; t > ready {
+					ready = t
 				}
-				fetchUsed = 0
-			case d.Taken && btbHit:
-				// Correctly predicted taken: redirect next cycle, the taken
-				// branch ends this fetch group.
-				fetchCycle = f + 1
-				fetchUsed = 0
-			case d.Taken: // predicted taken but BTB miss: decode-time bubble
-				res.BTBMisses++
-				fetchCycle = f + 2
-				fetchUsed = 0
 			}
+
+			// ---- issue + execute ----
+			// Alongside the timing, the stage records how long the
+			// instruction waited at each step (fuWait: unit busy, issWait: no
+			// issue slot, memWait: load data outstanding) for the cycle
+			// attribution below, and the cycle it won an issue slot (issueAt)
+			// for the observer.
+			var complete int64
+			var issWait, fuWait, memWait, issueAt int64
+			if observer != nil && isMem {
+				memBefore = memModel.Stats()
+			}
+			if st.class == isa.ClassNop {
+				complete = ready
+				issueAt = ready
+			} else {
+				// The instruction waits for the least-busy unit of its class
+				// and an issue slot, then holds the unit for occ cycles: a
+				// matrix operation executes VL word-operations on one
+				// multimedia unit at MedLanes words per cycle, and the port
+				// splits an unaligned load into two aligned accesses. A
+				// vector access on a model that needs it instead reserves
+				// every memory port for its whole element stream.
+				occ := int64(1)
+				switch st.class {
+				case isa.ClassMomSimple, isa.ClassMomComplex:
+					occ = occupancy(blk.VL(i), cfg.MedLanes)
+				case isa.ClassLoad:
+					if unaligned(ea, size) {
+						occ = 2
+					}
+				}
+				u := leastBusy(units[st.class][0], units[st.class][1])
+				if u == nil {
+					err = fmt.Errorf("cpu: no functional unit for class %v", st.class)
+					break loop
+				}
+				t0 := max(ready, *u)
+				c := issueSlots.take(t0)
+				issueAt = c
+				var start int64
+				if st.isVec && allPorts {
+					start = takeAll(ports, c, occupancy(blk.VL(i), vecRate))
+				} else {
+					start = max(c, *u)
+					*u = start + occ
+				}
+				fuWait, issWait = (t0-ready)+(start-c), c-t0
+
+				switch st.class {
+				case isa.ClassLoad:
+					res.Loads++
+					agDone := start + occ
+					memDone := memModel.Load(agDone, ea, size)
+					if fwd := stores.conflictReady(ea, ea+uint64(size)); fwd > 0 && fwd+1 > memDone {
+						memDone = fwd + 1
+					}
+					complete = memDone
+					memWait = complete - agDone
+					res.WordOps++
+
+				case isa.ClassStore:
+					res.Stores++
+					complete = max(start+1, ready)
+					stores.add(ea, ea+uint64(size), complete)
+					res.WordOps++
+
+				case isa.ClassMomLoad:
+					res.Loads++
+					nelem := blk.VL(i)
+					lo, hi := vecRange(ea, stride, nelem, size)
+					memDone := memModel.LoadVector(start+1, ea, stride, nelem, vecRate)
+					if fwd := stores.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
+						memDone = fwd + 1
+					}
+					complete = memDone
+					if memWait = complete - (start + occupancy(nelem, vecRate)); memWait < 0 {
+						memWait = 0
+					}
+					res.WordOps += uint64(nelem)
+
+				case isa.ClassMomStore:
+					res.Stores++
+					nelem := blk.VL(i)
+					complete = max(start+occupancy(nelem, vecRate), ready)
+					lo, hi := vecRange(ea, stride, nelem, size)
+					stores.add(lo, hi, complete)
+					res.WordOps += uint64(nelem)
+
+				default:
+					// The result is architecturally complete when the last
+					// word drains.
+					complete = start + occ - 1 + st.lat
+					switch st.class {
+					case isa.ClassMedSimple, isa.ClassMedComplex:
+						res.WordOps++
+					case isa.ClassMomSimple, isa.ClassMomComplex:
+						res.WordOps += uint64(blk.VL(i))
+					}
+				}
+			}
+
+			// ---- commit (in order, width per cycle) ----
+			preCommit := commitSlots.take(max(complete+1, lastCommit))
+			commit := preCommit
+			switch st.class {
+			case isa.ClassStore:
+				if acc := memModel.Store(commit, ea, size); acc > commit {
+					commit = commitSlots.take(acc)
+				}
+			case isa.ClassMomStore:
+				if acc := memModel.StoreVector(commit, ea, stride, blk.VL(i), vecRate); acc > commit {
+					commit = commitSlots.take(acc)
+				}
+			}
+
+			// ---- cycle attribution ----
+			// The commit frontier advanced adv cycles while graduating this
+			// instruction: one is the useful commit cycle, any gap between the
+			// store-accept push and preCommit stalled on the write buffer, and
+			// the rest is charged to the stage this instruction waited on
+			// longest (ties go to the earlier pipeline stage in list order).
+			var evCommitted, evExecGap, evStoreGap int64
+			evBucket := obs.BucketDepLatency
+			if adv := commit - profFrontier; adv > 0 {
+				prof.Commit++
+				evCommitted = 1
+				execGap := preCommit - profFrontier - 1
+				if execGap < 0 {
+					execGap = 0
+				}
+				if storeGap := adv - 1 - execGap; storeGap > 0 {
+					prof.StoreCommit += storeGap
+					evStoreGap = storeGap
+				}
+				if execGap > 0 {
+					cause, best := &prof.DepLatency, ready-(dispatch+1)
+					bucket := obs.BucketDepLatency
+					if frontWait > best {
+						cause, best = &prof.Frontend, frontWait
+						bucket = obs.BucketFrontend
+						if f == redirectCycle {
+							cause = &prof.Mispredict
+							bucket = obs.BucketMispredict
+						}
+					}
+					if structWait > best {
+						cause, best = &prof.RenameROB, structWait
+						bucket = obs.BucketRenameROB
+					}
+					if issWait > best {
+						cause, best = &prof.IssueQueue, issWait
+						bucket = obs.BucketIssueQueue
+					}
+					if fuWait > best {
+						cause, best = &prof.FU, fuWait
+						bucket = obs.BucketFU
+					}
+					if memWait > best {
+						cause = &prof.MemWait
+						bucket = obs.BucketMemWait
+					}
+					*cause += execGap
+					evBucket = bucket
+					evExecGap = execGap
+				}
+			}
+			profFrontier = commit
+			lastCommit = commit
+			robRing[robHead] = commit
+			if robHead++; robHead == len(robRing) {
+				robHead = 0
+			}
+			if isMem {
+				lsqRing[lsqHead] = commit
+				if lsqHead++; lsqHead == len(lsqRing) {
+					lsqHead = 0
+				}
+			}
+			if st.dstKey >= 0 {
+				lastWriter[st.dstKey] = complete
+				if ring := renameRing[st.dstKind]; ring != nil {
+					h := renameHead[st.dstKind]
+					ring[h] = commit
+					if h++; h == len(ring) {
+						h = 0
+					}
+					renameHead[st.dstKind] = h
+				}
+			}
+
+			if observer != nil {
+				emitEvent(observer, memModel, &memBefore, &rs.ev, idx, int(si), blk.VL(i), blk.Taken(i), st,
+					f, dispatch, issueAt, complete, commit,
+					evCommitted, evBucket, evExecGap, evStoreGap)
+			}
+
+			// ---- branch resolution and fetch redirect ----
+			if st.class == isa.ClassBranch {
+				res.Branches++
+				taken := blk.Taken(i)
+				predTaken := st.isBR || pred.predict(int(si))
+				btbHit := targets.hit(int(si))
+				if !st.isBR {
+					pred.update(int(si), taken)
+				}
+				if taken {
+					targets.insert(int(si))
+				}
+				switch {
+				case taken != predTaken:
+					res.Mispredicts++
+					r := complete + 1 + int64(cfg.MispredictPenalty)
+					if r > fetchCycle {
+						fetchCycle = r
+						redirectCycle = r
+					}
+					fetchUsed = 0
+				case taken && btbHit:
+					// Correctly predicted taken: redirect next cycle, the
+					// taken branch ends this fetch group.
+					fetchCycle = f + 1
+					fetchUsed = 0
+				case taken: // predicted taken but BTB miss: decode-time bubble
+					res.BTBMisses++
+					fetchCycle = f + 2
+					fetchUsed = 0
+				}
+			}
+			idx++
 		}
-		idx++
 	}
 
 	rs.lsqHead = lsqHead
@@ -976,17 +901,17 @@ loop:
 //
 //go:noinline
 func emitEvent(observer obs.Observer, memModel mem.Model, memBefore *mem.Stats,
-	ev *obs.Event, idx uint64, d emu.Dyn, st *staticInst, isMem bool,
+	ev *obs.Event, idx uint64, si, vl int, taken bool, st *staticInst,
 	f, dispatch, issueAt, complete, commit int64,
 	evCommitted int64, evBucket obs.Bucket, evExecGap, evStoreGap int64) {
 	*ev = obs.Event{
-		Seq: idx, PC: d.SI, Class: st.class, VL: d.VL, Taken: d.Taken,
+		Seq: idx, PC: si, Class: st.class, VL: vl, Taken: taken,
 		Fetch: f, Dispatch: dispatch, Issue: issueAt,
 		Complete: complete, Commit: commit,
 		Committed: evCommitted, Bucket: evBucket,
 		ExecGap: evExecGap, StoreGap: evStoreGap,
 	}
-	if isMem {
+	if st.isMem {
 		ev.Mem = mem.Diff(*memBefore, memModel.Stats())
 	}
 	observer.Observe(ev)

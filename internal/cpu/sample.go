@@ -88,13 +88,13 @@ func (s *Sampled) Coverage() float64 {
 // base continues the run's cycle axis monotonically so the memory model's
 // busy-until cursors (ports, MSHRs, DRAM channel) stay meaningful.
 func (rs *runState) startWindow(cfg *Config, base int64) {
-	clear(rs.intS.busy)
-	clear(rs.intC.busy)
-	clear(rs.fpS.busy)
-	clear(rs.fpC.busy)
-	clear(rs.medS.busy)
-	clear(rs.medC.busy)
-	clear(rs.ports.busy)
+	clear(rs.intS)
+	clear(rs.intC)
+	clear(rs.fpS)
+	clear(rs.fpC)
+	clear(rs.medS)
+	clear(rs.medC)
+	clear(rs.ports)
 	rs.dispatchSlots = slots{width: cfg.Width}
 	rs.commitSlots = slots{width: cfg.Width}
 	rs.issueSlots.reset(base)
@@ -112,9 +112,10 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 	rs.profFrontier, rs.redirectCycle = base-1, -1
 }
 
-// warmSink adapts the run's predictor/BTB/memory state to trace.WarmSink
-// for the bulk fast-forward path. Its warming effects are identical to the
-// generic warmSpan loop below, record for record.
+// warmSink adapts the run's predictor/BTB/memory state to trace.WarmSink.
+// Branches train the predictor and BTB exactly as the detailed path would,
+// memory references touch the model's tag arrays through mem.Warmer, and
+// everything else is skipped.
 type warmSink struct {
 	rs      *runState
 	statics []staticInst
@@ -154,52 +155,40 @@ func (k *warmSink) WarmVector(ea uint64, stride int64, nelem int, store bool) {
 
 // bulkWarmer is the fast-forward protocol a source may offer (trace.Reader
 // does): consume records wholesale, delivering only the warming-relevant
-// ones, without reconstructing emu.Dyn values.
+// ones to the sink.
 type bulkWarmer interface {
 	WarmNext(n uint64, sink trace.WarmSink) uint64
 }
 
-// warmSpan fast-forwards up to n records through functional warming:
-// branches train the predictor and BTB exactly as the detailed path would,
-// memory references touch the model's tag arrays through mem.Warmer, and
-// everything else is skipped. It reports how many records were consumed and
-// whether the stream still has more.
+// warmSpan fast-forwards up to n records through functional warming (see
+// warmSink). Sources without a bulk cursor feed the sink from the same
+// block columns the detailed path reads. It reports how many records were
+// consumed and whether the stream still has more.
 func warmSpan(src trace.Source, statics []staticInst, rs *runState, w mem.Warmer, n uint64) (consumed uint64, more bool) {
+	sink := &warmSink{rs: rs, statics: statics, w: w}
 	if bw, ok := src.(bulkWarmer); ok {
-		consumed = bw.WarmNext(n, &warmSink{rs: rs, statics: statics, w: w})
+		consumed = bw.WarmNext(n, sink)
 		return consumed, consumed == n
 	}
-	pred, targets := rs.pred, rs.targets
 	for consumed < n {
-		d, ok := src.Next()
-		if !ok {
+		blk := src.NextBlock(int(min(n-consumed, maxPull)))
+		if len(blk.SI) == 0 {
 			return consumed, false
 		}
-		consumed++
-		st := &statics[d.SI]
-		switch st.class {
-		case isa.ClassBranch:
-			if !st.isBR {
-				pred.update(d.SI, d.Taken)
-			}
-			if d.Taken {
-				targets.insert(d.SI)
-			}
-		case isa.ClassLoad:
-			if w != nil {
-				w.WarmLoad(d.EA, d.Size)
-			}
-		case isa.ClassStore:
-			if w != nil {
-				w.WarmStore(d.EA, d.Size)
-			}
-		case isa.ClassMomLoad:
-			if w != nil {
-				w.WarmLoadVector(d.EA, d.Stride, d.NElem)
-			}
-		case isa.ClassMomStore:
-			if w != nil {
-				w.WarmStoreVector(d.EA, d.Stride, d.NElem)
+		consumed += uint64(len(blk.SI))
+		eaI, strI := 0, 0
+		for i, si := range blk.SI {
+			st := &statics[si]
+			switch {
+			case st.isVec:
+				sink.WarmVector(blk.EA[eaI], blk.Stride[strI], blk.VL(i), st.class == isa.ClassMomStore)
+				eaI++
+				strI++
+			case st.isMem:
+				sink.WarmScalar(blk.EA[eaI], int(st.size), st.class == isa.ClassStore)
+				eaI++
+			case st.class == isa.ClassBranch:
+				sink.WarmBranch(int(si), blk.Taken(i))
 			}
 		}
 	}

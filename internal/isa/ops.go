@@ -79,6 +79,20 @@ func (c Class) IsVector() bool {
 // block; adding VectorDelta to a packed opcode yields its MOM matrix variant.
 type Opcode uint16
 
+// ElemSize returns the size in bytes of one element a memory opcode
+// accesses (every element of a MOM vector access has this size).
+func (o Opcode) ElemSize() int {
+	switch o {
+	case LDBU, STB:
+		return 1
+	case LDWU, STW:
+		return 2
+	case LDL, STL:
+		return 4
+	}
+	return 8 // LDQ/STQ, LDT/STT, LDQM/STQM, MOMLDQ/MOMSTQ
+}
+
 // VectorDelta separates the packed opcode block from its MOM vector twins.
 const VectorDelta Opcode = 512
 

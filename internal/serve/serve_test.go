@@ -407,6 +407,34 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNarrowDetailedJobRejected: an app or kernel job at width 1 or 2 on a
+// detailed memory model is a 400 at submit, not a job that panics the
+// worker (and with it the service): the server keeps answering.
+func TestNarrowDetailedJobRejected(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueCap: 4})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"exp":"app","app":"jpegencode","isa":"MOM","width":2,"mem":"multi"}`,
+		`{"exp":"kernel","kernel":"idct","isa":"MMX","width":1,"mem":"conv"}`,
+	} {
+		_, resp := post(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after rejected submits: status %d", code)
+	}
+	d, resp := post(t, ts, `{"exp":"kernel","kernel":"idct","isa":"MMX","width":1,"mem":"perfect"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("narrow perfect-memory job: status %d, want 202", resp.StatusCode)
+	}
+	waitState(t, ts, d.ID, StateDone)
+}
+
 // TestMetricsExposition: the endpoint serves parseable samples for the
 // core series even on a fresh server.
 func TestMetricsExposition(t *testing.T) {

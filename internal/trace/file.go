@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
@@ -104,21 +103,21 @@ func frameSize(nrec, nea, nstr int) int64 {
 }
 
 // appendFrame packs one chunk as a frame (prelude + columns) onto dst.
-func appendFrame(dst []byte, c *chunk) []byte {
+func appendFrame(dst []byte, c *Block) []byte {
 	payloadAt := len(dst) + frameHeaderLen
 	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(c.si)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.ea)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(c.stride)))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(c.SI)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.EA)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(c.Stride)))
 	dst = append(dst, hdr[:]...)
-	for _, v := range c.si {
+	for _, v := range c.SI {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	dst = append(dst, c.meta...)
-	for _, v := range c.ea {
+	dst = append(dst, c.Meta...)
+	for _, v := range c.EA {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	for _, v := range c.stride {
+	for _, v := range c.Stride {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	crc := crc32.ChecksumIEEE(dst[payloadAt:])
@@ -171,7 +170,7 @@ func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, e
 // readFrame reads and verifies one chunk frame into c, reusing its column
 // capacity. last marks the final chunk, the only one allowed fewer than
 // chunkRecords records.
-func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
+func readFrame(br *bufio.Reader, c *Block, scratch *[]byte, last bool) error {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return fmt.Errorf("%w: frame prelude: %v", ErrFormat, err)
@@ -195,21 +194,21 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	if crc32.ChecksumIEEE(buf) != crc {
 		return fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
 	}
-	c.si = grow(c.si, nrec)
-	c.meta = grow(c.meta, nrec)
-	c.ea = grow(c.ea, nea)
-	c.stride = grow(c.stride, nstr)
+	c.SI = grow(c.SI, nrec)
+	c.Meta = grow(c.Meta, nrec)
+	c.EA = grow(c.EA, nea)
+	c.Stride = grow(c.Stride, nstr)
 	for i := 0; i < nrec; i++ {
-		c.si[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		c.SI[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
-	copy(c.meta, buf[4*nrec:])
+	copy(c.Meta, buf[4*nrec:])
 	off := 5 * nrec
 	for i := 0; i < nea; i++ {
-		c.ea[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
+		c.EA[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
 	}
 	off += 8 * nea
 	for i := 0; i < nstr; i++ {
-		c.stride[i] = int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
+		c.Stride[i] = int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
 	}
 	return nil
 }
@@ -226,9 +225,9 @@ func grow[T any](s []T, n int) []T {
 // the static table: the si column must index the table, and the ea/stride
 // population must match the memory classes it implies — otherwise replay
 // would walk the sparse columns out of step.
-func checkChunk(c *chunk, static []sinst) error {
+func checkChunk(c *Block, static []sinst) error {
 	var nea, nstr int
-	for _, si := range c.si {
+	for _, si := range c.SI {
 		if si < 0 || int(si) >= len(static) {
 			return fmt.Errorf("%w: static index %d out of range", ErrFormat, si)
 		}
@@ -240,9 +239,9 @@ func checkChunk(c *chunk, static []sinst) error {
 			nstr++
 		}
 	}
-	if nea != len(c.ea) || nstr != len(c.stride) {
+	if nea != len(c.EA) || nstr != len(c.Stride) {
 		return fmt.Errorf("%w: sparse columns %d/%d, static classes imply %d/%d",
-			ErrFormat, len(c.ea), len(c.stride), nea, nstr)
+			ErrFormat, len(c.EA), len(c.Stride), nea, nstr)
 	}
 	return nil
 }
@@ -269,14 +268,14 @@ func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *T
 	if err != nil {
 		return nil, 0, err
 	}
-	t := &Trace{prog: p, n: records, chunks: make([]chunk, chunks)}
+	t := &Trace{prog: p, n: records, chunks: make([]Block, chunks)}
 	var scratch []byte
 	for i := 0; i < chunks; i++ {
 		c := &t.chunks[i]
 		if err := readFrame(br, c, &scratch, i == chunks-1); err != nil {
 			return nil, granted, err
 		}
-		cost := frameSize(len(c.si), len(c.ea), len(c.stride))
+		cost := frameSize(len(c.SI), len(c.EA), len(c.Stride))
 		if reserve != nil && !reserve(cost) {
 			return nil, granted, fmt.Errorf("%w: %s needs %d more bytes", ErrTooLarge, p.Name, cost)
 		}
@@ -288,7 +287,7 @@ func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *T
 	}
 	var got uint64
 	for i := range t.chunks {
-		got += uint64(len(t.chunks[i].si))
+		got += uint64(len(t.chunks[i].SI))
 	}
 	if got != records {
 		return nil, granted, fmt.Errorf("%w: %d records decoded, header says %d", ErrFormat, got, records)
@@ -306,10 +305,10 @@ func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *T
 // decoding one verified chunk frame at a time: the timing simulator starts
 // consuming records after the first ~330 KB frame lands instead of waiting
 // for the whole file, and peak decoder memory is one chunk regardless of
-// trace size. Corruption discovered mid-stream ends the stream (Next
-// returns false) and surfaces through Err, which cpu.Sim.Run/RunSampled
-// check at end of stream — a half-replayed damaged artifact can never
-// produce a silently wrong result.
+// trace size. Corruption discovered mid-stream ends the stream (NextBlock
+// returns an empty block) and surfaces through Err, which
+// cpu.Sim.Run/RunSampled check at end of stream — a half-replayed damaged
+// artifact can never produce a silently wrong result.
 type Stream struct {
 	prog    *isa.Program
 	static  []sinst
@@ -320,10 +319,10 @@ type Stream struct {
 	chunks  int    // header-declared frame count
 	read    int    // frames consumed so far
 
-	cur           chunk
-	ri, eaI, strI int
-	pos           uint64
-	err           error
+	cur Block // the decoded frame, reused across frames
+	cursor
+	pos uint64
+	err error
 }
 
 // NewStream opens a streaming decoder over an artifact for the given
@@ -345,7 +344,7 @@ func (s *Stream) Program() *isa.Program { return s.prog }
 // Records returns the header-declared record count.
 func (s *Stream) Records() uint64 { return s.records }
 
-// Pos returns how many records have been reconstructed so far.
+// Pos returns how many records have been delivered so far.
 func (s *Stream) Pos() uint64 { return s.pos }
 
 // Err reports the corruption or I/O fault that terminated the stream, if
@@ -354,9 +353,6 @@ func (s *Stream) Err() error { return s.err }
 
 // advance loads and verifies the next chunk frame.
 func (s *Stream) advance() bool {
-	if s.err != nil {
-		return false
-	}
 	if s.read == s.chunks {
 		if s.pos != s.records {
 			s.err = fmt.Errorf("%w: stream ended at record %d of %d", ErrFormat, s.pos, s.records)
@@ -373,8 +369,8 @@ func (s *Stream) advance() bool {
 	if s.read == s.chunks-1 {
 		want = int(s.records - uint64(s.chunks-1)*chunkRecords)
 	}
-	if len(s.cur.si) != want {
-		s.err = fmt.Errorf("%w: frame %d holds %d records, header implies %d", ErrFormat, s.read, len(s.cur.si), want)
+	if len(s.cur.SI) != want {
+		s.err = fmt.Errorf("%w: frame %d holds %d records, header implies %d", ErrFormat, s.read, len(s.cur.SI), want)
 		return false
 	}
 	if err := checkChunk(&s.cur, s.static); err != nil {
@@ -382,45 +378,18 @@ func (s *Stream) advance() bool {
 		return false
 	}
 	s.read++
-	s.ri, s.eaI, s.strI = 0, 0, 0
+	s.cursor = cursor{}
 	return true
 }
 
-// Next reconstructs the next dynamic instruction, decoding the next frame
-// when the current one is exhausted.
-func (s *Stream) Next() (emu.Dyn, bool) {
-	if s.ri >= len(s.cur.si) {
-		if !s.advance() {
-			return emu.Dyn{}, false
-		}
+// NextBlock returns a view of up to max records of the current frame,
+// decoding and verifying the next frame when the current one is exhausted.
+// The view is overwritten by the frame after it.
+func (s *Stream) NextBlock(max int) Block {
+	if s.err != nil || s.ri >= len(s.cur.SI) && !s.advance() {
+		return Block{}
 	}
-	c := &s.cur
-	si := c.si[s.ri]
-	meta := c.meta[s.ri]
-	s.ri++
-	s.pos++
-	st := &s.static[si]
-	d := emu.Dyn{
-		SI:    int(si),
-		Op:    st.op,
-		Class: st.class,
-		Taken: meta&metaTaken != 0,
-		VL:    int(meta &^ metaTaken),
-	}
-	if st.class == isa.ClassBranch {
-		d.Target = int(st.target)
-	}
-	switch st.mem {
-	case memScalar:
-		d.EA = c.ea[s.eaI]
-		s.eaI++
-		d.NElem, d.Size = 1, int(st.size)
-	case memVector:
-		d.EA = c.ea[s.eaI]
-		s.eaI++
-		d.Stride = c.stride[s.strI]
-		s.strI++
-		d.NElem, d.Size = d.VL, int(st.size)
-	}
-	return d, true
+	b := s.take(&s.cur, s.static, max)
+	s.pos += uint64(len(b.SI))
+	return b
 }

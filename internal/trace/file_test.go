@@ -44,16 +44,9 @@ func encode(t *testing.T, tr *Trace) []byte {
 }
 
 // drain replays a source to completion.
-func drain(t *testing.T, src Source) []emu.Dyn {
+func drain(t *testing.T, src Source) []rec {
 	t.Helper()
-	var out []emu.Dyn
-	for {
-		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, d)
-	}
+	out := drainBlocks(t, src, chunkRecords)
 	if err := src.Err(); err != nil {
 		t.Fatalf("source fault: %v", err)
 	}
@@ -124,10 +117,7 @@ func TestArtifactCorruption(t *testing.T) {
 		}
 		st, err := NewStream(bytes.NewReader(data), p)
 		if err == nil {
-			for {
-				if _, ok := st.Next(); !ok {
-					break
-				}
+			for len(st.NextBlock(chunkRecords).SI) > 0 {
 			}
 			err = st.Err()
 		}
@@ -194,7 +184,7 @@ func TestStreamEarlyError(t *testing.T) {
 	blob := encode(t, tr)
 	headerLen := bytes.IndexByte(blob, '\n') + 1
 	// Damage a byte inside the SECOND frame; the first frame must replay.
-	firstFrame := headerLen + frameHeaderLen + int(frameSize(chunkRecords, len(tr.chunks[0].ea), len(tr.chunks[0].stride)))
+	firstFrame := headerLen + frameHeaderLen + int(frameSize(chunkRecords, len(tr.chunks[0].EA), len(tr.chunks[0].Stride)))
 	data := append([]byte(nil), blob...)
 	data[firstFrame+frameHeaderLen+10] ^= 1
 
@@ -203,18 +193,16 @@ func TestStreamEarlyError(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := drain(t, tr.Reader())
-	var n int
+	var got []rec
 	for {
-		d, ok := st.Next()
-		if !ok {
+		b := st.NextBlock(1000)
+		if len(b.SI) == 0 {
 			break
 		}
-		if d != want[n] {
-			t.Fatalf("record %d: streamed %+v != captured %+v", n, d, want[n])
-		}
-		n++
+		got = appendBlock(t, got, b, tr.static)
 	}
-	if n != chunkRecords {
+	sameRecs(t, "stream before the damaged frame", got, want[:len(got)])
+	if n := len(got); n != chunkRecords {
 		t.Fatalf("stream yielded %d records before the damaged frame, want %d", n, chunkRecords)
 	}
 	if !errors.Is(st.Err(), ErrFormat) {

@@ -6,12 +6,15 @@
 // instruction stream in a compact chunked encoding, and any number of
 // Readers replay it — concurrently — into cpu.Sim.Run.
 //
-// The timing model consumes the Source interface, which both a live
-// emulator (Live) and a recorded trace (Reader) implement, so correctness
-// never depends on a trace being available. The equivalence extends to the
-// observability layer: a timing run publishes the identical obs.Event
-// stream whether it is fed live or from a recording (enforced by
-// TestTraceReplayEventEquivalence in the root package).
+// The timing model consumes the Source interface, which a live emulator
+// (Live), a recorded trace (Reader) and a streamed artifact (Stream) all
+// implement, so correctness never depends on a trace being available.
+// Sources deliver blocks of records as column views rather than one
+// emu.Dyn per call; Reader.Next is the one place a full emu.Dyn is rebuilt
+// from the columns. The equivalence extends to the observability layer: a
+// timing run publishes the identical obs.Event stream whether it is fed
+// live or from a recording (enforced by TestTraceReplayEventEquivalence in
+// the root package).
 package trace
 
 import (
@@ -26,33 +29,105 @@ import (
 )
 
 // Source is a stream of dynamic instructions plus the program they came
-// from. It is implemented by the live emulator (NewLive) and by recorded
-// traces (Trace.Reader).
+// from, delivered a block at a time. It is implemented by the live emulator
+// (NewLive), by recorded traces (Trace.Reader) and by streamed artifacts
+// (NewStream).
 type Source interface {
 	// Program returns the static program the stream executes.
 	Program() *isa.Program
-	// Next returns the next dynamic instruction; ok is false at end of
-	// stream (or on a fault; check Err).
-	Next() (d emu.Dyn, ok bool)
+	// NextBlock returns the next run of at most max (>= 1) records. The
+	// block is a read-only view valid until the next call on the source;
+	// an empty block marks the end of the stream (or a fault; check Err).
+	NextBlock(max int) Block
 	// Err reports the fault that terminated the stream, if any.
 	Err() error
 }
 
+// A Block is a run of consecutive records stored as struct-of-slices
+// columns; it is also the storage form of one chunk of a recorded trace.
+// Only the dynamic facts are stored: the static index, the vector length
+// and branch outcome (one meta byte, decoded by Taken and VL), and — only
+// for the records that need them — the effective address and vector
+// stride. Everything else in emu.Dyn (opcode, class, branch target, element
+// size/count) is a function of the static instruction.
+type Block struct {
+	SI     []int32  // static instruction index, per record
+	Meta   []uint8  // vector length and branch outcome, per record
+	EA     []uint64 // effective address, per memory record, in order
+	Stride []int64  // byte stride, per vector-memory record, in order
+}
+
+// metaTaken flags a taken branch in the meta byte; the low five bits hold
+// the vector length (0..MaxVL).
+const metaTaken = 0x80
+
+// Taken reports the branch outcome of record i.
+func (b Block) Taken(i int) bool { return b.Meta[i]&metaTaken != 0 }
+
+// VL returns the vector length governing record i (the element count of a
+// vector memory access).
+func (b Block) VL(i int) int { return int(b.Meta[i] &^ metaTaken) }
+
+// add appends one dynamic instruction to the block's columns and returns
+// its encoded size in bytes.
+func (b *Block) add(d *emu.Dyn) int64 {
+	b.SI = append(b.SI, int32(d.SI))
+	meta := uint8(d.VL)
+	if d.Taken {
+		meta |= metaTaken
+	}
+	b.Meta = append(b.Meta, meta)
+	n := int64(bytesPerRecord)
+	if d.Class.IsMem() {
+		b.EA = append(b.EA, d.EA)
+		n += 8
+		if d.Class == isa.ClassMomLoad || d.Class == isa.ClassMomStore {
+			b.Stride = append(b.Stride, d.Stride)
+			n += 8
+		}
+	}
+	return n
+}
+
+// liveBlockRecords is how many instructions Live emulates per block: enough
+// to amortise the call, small enough that the scratch columns stay in L1.
+const liveBlockRecords = 256
+
 // Live adapts a functional emulator into a Source (the interleaved
 // emulate-and-time path). It is single-use: the machine advances as the
-// timing model consumes it.
+// timing model consumes it, and never past what was asked for.
 type Live struct {
-	m *emu.Machine
+	m   *emu.Machine
+	buf Block
 }
 
 // NewLive wraps a machine as a Source.
-func NewLive(m *emu.Machine) *Live { return &Live{m: m} }
+func NewLive(m *emu.Machine) *Live {
+	return &Live{m: m, buf: Block{
+		SI:     make([]int32, 0, liveBlockRecords),
+		Meta:   make([]uint8, 0, liveBlockRecords),
+		EA:     make([]uint64, 0, liveBlockRecords),
+		Stride: make([]int64, 0, liveBlockRecords),
+	}}
+}
 
 // Program returns the machine's program.
 func (l *Live) Program() *isa.Program { return l.m.Prog }
 
-// Next executes one instruction.
-func (l *Live) Next() (emu.Dyn, bool) { return l.m.Step() }
+// NextBlock executes up to max instructions into the scratch block. A fault
+// ends the block early after the records before it.
+func (l *Live) NextBlock(max int) Block {
+	b := &l.buf
+	b.SI, b.Meta, b.EA, b.Stride = b.SI[:0], b.Meta[:0], b.EA[:0], b.Stride[:0]
+	for n := min(max, liveBlockRecords); len(b.SI) < n; {
+		d, ok := l.m.Step()
+		if !ok {
+			break
+		}
+		b.add(&d)
+	}
+	return *b
+}
 
 // Err returns the machine fault, if any.
 func (l *Live) Err() error { return l.m.Err }
@@ -61,23 +136,6 @@ func (l *Live) Err() error { return l.m.Err }
 // allocation pattern flat: no giant-slice doubling, no per-record
 // allocation, and replay walks each column sequentially.
 const chunkRecords = 1 << 15
-
-// metaTaken flags a taken branch in the meta byte; the low five bits hold
-// the vector length (0..MaxVL).
-const metaTaken = 0x80
-
-// A chunk stores chunkRecords dynamic instructions as struct-of-slices
-// columns. Only the dynamic facts are stored: the static index, the vector
-// length and branch outcome (one meta byte), and — only for the records
-// that need them — the effective address and vector stride. Everything else
-// in emu.Dyn (opcode, class, branch target, element size/count) is
-// reconstructed from the static program during replay.
-type chunk struct {
-	si     []int32  // static instruction index, per record
-	meta   []uint8  // VL | metaTaken, per record
-	ea     []uint64 // effective address, per memory record
-	stride []int64  // byte stride, per vector-memory record
-}
 
 // bytesPerRecord is the fixed per-record cost (si + meta).
 const bytesPerRecord = 5
@@ -98,6 +156,45 @@ type sinst struct {
 	mem    uint8
 }
 
+// cursor is a position inside one chunk: the record index and the matching
+// offsets into the sparse ea and stride columns.
+type cursor struct {
+	ri, eaI, strI int
+}
+
+// skip advances the cursor n records inside c, one static-table lookup per
+// record to keep the sparse column offsets aligned.
+func (k *cursor) skip(c *Block, static []sinst, n int) {
+	for _, si := range c.SI[k.ri : k.ri+n] {
+		switch static[si].mem {
+		case memScalar:
+			k.eaI++
+		case memVector:
+			k.eaI++
+			k.strI++
+		}
+	}
+	k.ri += n
+}
+
+// take returns the next at most max records of c as a view and advances
+// the cursor past them: in O(1) when the view runs to the chunk's end, by
+// one static-table lookup per record when max cuts the chunk.
+func (k *cursor) take(c *Block, static []sinst, max int) Block {
+	from := *k
+	if max < len(c.SI)-k.ri {
+		k.skip(c, static, max)
+	} else {
+		*k = cursor{len(c.SI), len(c.EA), len(c.Stride)}
+	}
+	return Block{
+		SI:     c.SI[from.ri:k.ri],
+		Meta:   c.Meta[from.ri:k.ri],
+		EA:     c.EA[from.eaI:k.eaI],
+		Stride: c.Stride[from.strI:k.strI],
+	}
+}
+
 // Trace is a recorded dynamic instruction stream. The recording itself is
 // immutable after Capture returns, so any number of Readers may replay it
 // concurrently; the aux map is a synchronized side cache for derived
@@ -105,7 +202,7 @@ type sinst struct {
 type Trace struct {
 	prog   *isa.Program
 	static []sinst
-	chunks []chunk
+	chunks []Block
 	n      uint64
 	bytes  int64
 
@@ -142,19 +239,6 @@ func (t *Trace) SetAux(key, val any) {
 // the byte budget; callers fall back to live interleaved emulation.
 var ErrTooLarge = errors.New("trace: exceeds memory budget")
 
-// memSize returns the element size in bytes of a memory opcode.
-func memSize(op isa.Opcode) uint8 {
-	switch op {
-	case isa.LDBU, isa.STB:
-		return 1
-	case isa.LDWU, isa.STW:
-		return 2
-	case isa.LDL, isa.STL:
-		return 4
-	}
-	return 8 // LDQ/STQ, LDT/STT, LDQM/STQM, MOMLDQ/MOMSTQ
-}
-
 // buildStatic precomputes the replay reconstruction table for a program.
 func buildStatic(p *isa.Program) []sinst {
 	st := make([]sinst, len(p.Insts))
@@ -165,9 +249,9 @@ func buildStatic(p *isa.Program) []sinst {
 		s.op, s.class, s.target = in.Op, info.Class, int32(in.Target)
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
-			s.mem, s.size = memScalar, memSize(in.Op)
+			s.mem, s.size = memScalar, uint8(in.Op.ElemSize())
 		case isa.ClassMomLoad, isa.ClassMomStore:
-			s.mem, s.size = memVector, memSize(in.Op)
+			s.mem, s.size = memVector, uint8(in.Op.ElemSize())
 		}
 	}
 	return st
@@ -250,7 +334,7 @@ func CaptureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 
 func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (tr *Trace, granted int64, err error) {
 	t := &Trace{prog: m.Prog}
-	var c *chunk
+	var c *Block
 	var bytes int64
 	for {
 		d, ok := m.Step()
@@ -260,28 +344,14 @@ func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 		if t.n >= maxSteps {
 			return nil, granted, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
 		}
-		if c == nil || len(c.si) == chunkRecords {
-			t.chunks = append(t.chunks, chunk{
-				si:   make([]int32, 0, chunkRecords),
-				meta: make([]uint8, 0, chunkRecords),
+		if c == nil || len(c.SI) == chunkRecords {
+			t.chunks = append(t.chunks, Block{
+				SI:   make([]int32, 0, chunkRecords),
+				Meta: make([]uint8, 0, chunkRecords),
 			})
 			c = &t.chunks[len(t.chunks)-1]
 		}
-		c.si = append(c.si, int32(d.SI))
-		meta := uint8(d.VL)
-		if d.Taken {
-			meta |= metaTaken
-		}
-		c.meta = append(c.meta, meta)
-		bytes += bytesPerRecord
-		if d.Class.IsMem() {
-			c.ea = append(c.ea, d.EA)
-			bytes += 8
-			if d.Class == isa.ClassMomLoad || d.Class == isa.ClassMomStore {
-				c.stride = append(c.stride, d.Stride)
-				bytes += 8
-			}
-		}
+		bytes += c.add(&d)
 		t.n++
 		for bytes > granted {
 			switch {
@@ -329,22 +399,9 @@ func (t *Trace) ReaderAt(pos uint64) *Reader {
 	if pos > t.n {
 		pos = t.n
 	}
-	r := &Reader{t: t, pos: pos}
-	r.ci = int(pos / chunkRecords)
-	r.ri = int(pos % chunkRecords)
-	if r.ci >= len(t.chunks) {
-		return r // at end of stream
-	}
-	c := &t.chunks[r.ci]
-	static := t.static
-	for i := 0; i < r.ri; i++ {
-		s := &static[c.si[i]]
-		if s.mem != memNone {
-			r.eaI++
-			if s.mem == memVector {
-				r.strI++
-			}
-		}
+	r := &Reader{t: t, pos: pos, ci: int(pos / chunkRecords)}
+	if r.ci < len(t.chunks) {
+		r.skip(&t.chunks[r.ci], t.static, int(pos%chunkRecords))
 	}
 	return r
 }
@@ -369,21 +426,21 @@ func (r *Reader) Cursor() Cursor { return Cursor{pos: r.pos, eaI: r.eaI, strI: r
 // O(1). The cursor must have been captured from a reader over the same
 // trace.
 func (t *Trace) ReaderAtCursor(c Cursor) *Reader {
-	r := &Reader{t: t, pos: c.pos, eaI: c.eaI, strI: c.strI}
-	r.ci = int(c.pos / chunkRecords)
-	r.ri = int(c.pos % chunkRecords)
-	return r
+	return &Reader{
+		t: t, pos: c.pos, ci: int(c.pos / chunkRecords),
+		cursor: cursor{ri: int(c.pos % chunkRecords), eaI: c.eaI, strI: c.strI},
+	}
 }
 
-// Reader replays a recorded trace as a Source.
+// Reader replays a recorded trace as a Source. Besides the block protocol
+// it offers per-record reconstruction (Next) and the fast-forward cursors
+// of sampled simulation (Skip, WarmNext).
 type Reader struct {
 	t       *Trace
 	ci      int    // chunk index
-	ri      int    // record index within chunk
-	eaI     int    // cursor into chunk.ea
-	strI    int    // cursor into chunk.stride
-	pos     uint64 // records consumed (Next + Skip)
-	skipped uint64 // records consumed by Skip only
+	cursor         // position within chunk ci
+	pos     uint64 // records consumed (NextBlock, Next, Skip, WarmNext)
+	skipped uint64 // records consumed by Skip and WarmNext only
 }
 
 // Program returns the traced program.
@@ -401,10 +458,35 @@ func (r *Reader) Err() error { return nil }
 func (r *Reader) Pos() uint64 { return r.pos }
 
 // Skipped returns how many of the consumed records were fast-forwarded by
-// Skip or WarmNext rather than reconstructed by Next — the span of the
-// trace the consumer never timed (momtrace -stats reports it; it is zero
-// for full replays).
+// Skip or WarmNext rather than delivered by NextBlock or Next — the span of
+// the trace the consumer never timed (momtrace -stats reports it; it is
+// zero for full replays).
 func (r *Reader) Skipped() uint64 { return r.skipped }
+
+// chunk returns the chunk holding the next record, stepping past exhausted
+// chunks; nil at end of stream.
+func (r *Reader) chunk() *Block {
+	for r.ci < len(r.t.chunks) {
+		if c := &r.t.chunks[r.ci]; r.ri < len(c.SI) {
+			return c
+		}
+		r.ci++
+		r.cursor = cursor{}
+	}
+	return nil
+}
+
+// NextBlock returns a view of up to max records of the current chunk; it
+// never spans two chunks.
+func (r *Reader) NextBlock(max int) Block {
+	c := r.chunk()
+	if c == nil {
+		return Block{}
+	}
+	b := r.take(c, r.t.static, max)
+	r.pos += uint64(len(b.SI))
+	return b
+}
 
 // Skip advances the cursor past up to n records without reconstructing
 // them, returning how many were actually skipped (fewer than n only at end
@@ -413,28 +495,12 @@ func (r *Reader) Skipped() uint64 { return r.skipped }
 // cursors aligned for the next reconstructed record.
 func (r *Reader) Skip(n uint64) uint64 {
 	var done uint64
-	for done < n && r.ci < len(r.t.chunks) {
-		c := &r.t.chunks[r.ci]
-		remaining := uint64(len(c.si) - r.ri)
-		left := n - done
-		if remaining <= left {
-			done += remaining
-			r.ci++
-			r.ri, r.eaI, r.strI = 0, 0, 0
-			continue
+	for done < n {
+		c := r.chunk()
+		if c == nil {
+			break
 		}
-		static := r.t.static
-		for i := uint64(0); i < left; i++ {
-			s := &static[c.si[r.ri]]
-			r.ri++
-			if s.mem != memNone {
-				r.eaI++
-				if s.mem == memVector {
-					r.strI++
-				}
-			}
-		}
-		done += left
+		done += uint64(len(r.take(c, r.t.static, int(min(n-done, chunkRecords))).SI))
 	}
 	r.pos += done
 	r.skipped += done
@@ -464,30 +530,24 @@ func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 	var done uint64
 	static := r.t.static
 	for done < n {
-		if r.ci >= len(r.t.chunks) {
+		c := r.chunk()
+		if c == nil {
 			break
 		}
-		c := &r.t.chunks[r.ci]
-		if r.ri >= len(c.si) {
-			r.ci++
-			r.ri, r.eaI, r.strI = 0, 0, 0
-			continue
-		}
-		take := min(n-done, uint64(len(c.si)-r.ri))
+		take := min(n-done, uint64(len(c.SI)-r.ri))
 		for k := uint64(0); k < take; k++ {
-			si := c.si[r.ri]
+			si := c.SI[r.ri]
 			s := &static[si]
 			switch {
 			case s.mem == memScalar:
-				sink.WarmScalar(c.ea[r.eaI], int(s.size), s.class == isa.ClassStore)
+				sink.WarmScalar(c.EA[r.eaI], int(s.size), s.class == isa.ClassStore)
 				r.eaI++
 			case s.mem == memVector:
-				vl := int(c.meta[r.ri] &^ metaTaken)
-				sink.WarmVector(c.ea[r.eaI], c.stride[r.strI], vl, s.class == isa.ClassMomStore)
+				sink.WarmVector(c.EA[r.eaI], c.Stride[r.strI], c.VL(r.ri), s.class == isa.ClassMomStore)
 				r.eaI++
 				r.strI++
 			case s.class == isa.ClassBranch:
-				sink.WarmBranch(int(si), c.meta[r.ri]&metaTaken != 0)
+				sink.WarmBranch(int(si), c.Taken(r.ri))
 			}
 			r.ri++
 		}
@@ -498,43 +558,37 @@ func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 	return done
 }
 
-// Next reconstructs the next dynamic instruction from the trace.
+// Next reconstructs the next dynamic instruction from the trace as a full
+// emu.Dyn — the per-record form for consumers outside the timing core
+// (momtrace -stats, layer benchmarks, equivalence tests).
 func (r *Reader) Next() (emu.Dyn, bool) {
-	for {
-		if r.ci >= len(r.t.chunks) {
-			return emu.Dyn{}, false
-		}
-		if r.ri < len(r.t.chunks[r.ci].si) {
-			break
-		}
-		r.ci++
-		r.ri, r.eaI, r.strI = 0, 0, 0
+	c := r.chunk()
+	if c == nil {
+		return emu.Dyn{}, false
 	}
-	c := &r.t.chunks[r.ci]
-	si := c.si[r.ri]
-	meta := c.meta[r.ri]
+	i := r.ri
 	r.ri++
 	r.pos++
-	s := &r.t.static[si]
+	s := &r.t.static[c.SI[i]]
 	d := emu.Dyn{
-		SI:    int(si),
+		SI:    int(c.SI[i]),
 		Op:    s.op,
 		Class: s.class,
-		Taken: meta&metaTaken != 0,
-		VL:    int(meta &^ metaTaken),
+		Taken: c.Taken(i),
+		VL:    c.VL(i),
 	}
 	if s.class == isa.ClassBranch {
 		d.Target = int(s.target)
 	}
 	switch s.mem {
 	case memScalar:
-		d.EA = c.ea[r.eaI]
+		d.EA = c.EA[r.eaI]
 		r.eaI++
 		d.NElem, d.Size = 1, int(s.size)
 	case memVector:
-		d.EA = c.ea[r.eaI]
+		d.EA = c.EA[r.eaI]
 		r.eaI++
-		d.Stride = c.stride[r.strI]
+		d.Stride = c.Stride[r.strI]
 		r.strI++
 		d.NElem, d.Size = d.VL, int(s.size)
 	}

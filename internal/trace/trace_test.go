@@ -12,7 +12,7 @@ import (
 const testMaxSteps = 50_000_000
 
 // TestReplayMatchesLive captures every kernel (all ISAs) and checks that the
-// replayed Dyn stream is field-for-field identical to a fresh live run.
+// replayed Dyn stream is field-for-field identical to a fresh emulator run.
 func TestReplayMatchesLive(t *testing.T) {
 	for _, k := range kernels.All(kernels.ScaleTest) {
 		for _, ext := range []isa.Ext{isa.ExtAlpha, isa.ExtMMX, isa.ExtMDMX, isa.ExtMOM} {
@@ -24,11 +24,11 @@ func TestReplayMatchesLive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				live := NewLive(emu.New(k.Build(ext)))
+				live := emu.New(k.Build(ext))
 				r := tr.Reader()
 				var n uint64
 				for {
-					want, okW := live.Next()
+					want, okW := live.Step()
 					got, okG := r.Next()
 					if okW != okG {
 						t.Fatalf("record %d: live ok=%v, replay ok=%v", n, okW, okG)

@@ -108,12 +108,26 @@ func (c CacheMode) mode() mem.VectorMode {
 
 // MemModel abstracts the memory system passed to a run.
 type MemModel struct {
-	build func(width int) mem.Model
-	name  string
+	build    func(width int) mem.Model
+	name     string
+	detailed bool // the Table 3 hierarchy, modelled at widths 4 and 8 only
 }
 
 // Name identifies the model.
 func (m MemModel) Name() string { return m.name }
+
+// CheckWidth reports whether the model can back a machine of the given
+// issue width: every model runs at widths 1, 2, 4 and 8, except the
+// detailed hierarchy, which Table 3 defines for 4- and 8-way machines only.
+func (m MemModel) CheckWidth(width int) error {
+	switch {
+	case width != 1 && width != 2 && width != 4 && width != 8:
+		return fmt.Errorf("invalid width %d (valid: 1, 2, 4, 8)", width)
+	case m.detailed && width != 4 && width != 8:
+		return fmt.Errorf("invalid width %d for detailed memory model %s (valid: 4, 8; perfect and perfect50 run at every width)", width, m.name)
+	}
+	return nil
+}
 
 // PerfectMemory returns the idealised fixed-latency memory of the kernel
 // study (latency 1 = perfect cache; 50 = the latency-tolerance experiment).
@@ -131,7 +145,8 @@ func DetailedMemory(mode CacheMode) MemModel {
 		build: func(width int) mem.Model {
 			return mem.NewHierarchy(mem.HierConfig{Width: width, Mode: mode.mode()})
 		},
-		name: mode.String(),
+		name:     mode.String(),
+		detailed: true,
 	}
 }
 
@@ -266,6 +281,9 @@ const maxDynInsts = 400_000_000
 
 // RunKernel times one kernel on one machine configuration.
 func RunKernel(kernel string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
+	if err := m.CheckWidth(width); err != nil {
+		return Result{}, err
+	}
 	k, err := kernels.ByName(kernel, kernels.Scale(sc))
 	if err != nil {
 		return Result{}, err
@@ -294,6 +312,9 @@ func AppNames() []string { return apps.Names() }
 
 // RunApp times one full application on one machine configuration.
 func RunApp(app string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
+	if err := m.CheckWidth(width); err != nil {
+		return Result{}, err
+	}
 	a, err := apps.ByName(app, apps.Scale(sc))
 	if err != nil {
 		return Result{}, err

@@ -223,7 +223,11 @@ func (r JobRequest) Normalized() (JobRequest, error) {
 		if m == "" {
 			m = "perfect"
 		}
-		if _, err := ParseMemModel(m); err != nil {
+		mm, err := ParseMemModel(m)
+		if err != nil {
+			return err
+		}
+		if err := mm.CheckWidth(n.Width); err != nil {
 			return err
 		}
 		n.Mem = m

@@ -44,6 +44,10 @@ func TestRequestValidation(t *testing.T) {
 		{JobRequest{Exp: "kernel", Kernel: "nope"}, "unknown kernel"},
 		{JobRequest{Exp: "kernel", Kernel: "idct", ISA: "sse"}, "unknown ISA"},
 		{JobRequest{Exp: "kernel", Kernel: "idct", Mem: "l3"}, "unknown memory model"},
+		// The detailed hierarchy exists for 4- and 8-way machines only.
+		{JobRequest{Exp: "kernel", Kernel: "idct", Width: 1, Mem: "conv"}, "valid: 4, 8"},
+		{JobRequest{Exp: "app", App: "jpegencode", Width: 2, Mem: "multi"}, "valid: 4, 8"},
+		{JobRequest{Exp: "app", App: "jpegencode", Width: 2, Mem: "collapsing"}, "valid: 4, 8"},
 		{JobRequest{Exp: "app", App: "nope"}, "unknown app"},
 		{JobRequest{Exp: "memsweep"}, "missing app"},
 		{JobRequest{Exp: "regsweep", Kernel: "bogus"}, "unknown kernel"},
@@ -60,6 +64,27 @@ func TestRequestValidation(t *testing.T) {
 		_, err := tc.req.Normalized()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: error %v, want one containing %q", tc.req, err, tc.want)
+		}
+	}
+}
+
+// TestNarrowDetailedRunRejected: the library entry points behind momsim
+// -kernel/-app return the validator's error for a width the detailed
+// hierarchy does not model, instead of panicking while building it.
+func TestNarrowDetailedRunRejected(t *testing.T) {
+	m := DetailedMemory(MultiAddress)
+	_, want := JobRequest{Exp: "app", App: "jpegencode", Width: 2, Mem: "multi"}.Normalized()
+	if want == nil {
+		t.Fatal("validator accepted a 2-way detailed-memory app job")
+	}
+	for name, run := range map[string]func() (Result, error){
+		"RunKernel":        func() (Result, error) { return RunKernel("idct", MOM, 2, m, ScaleTest) },
+		"RunApp":           func() (Result, error) { return RunApp("jpegencode", MOM, 2, m, ScaleTest) },
+		"RunKernelSampled": func() (Result, error) { return RunKernelSampled("idct", MOM, 2, m, ScaleTest, SampleSpec{}) },
+		"RunAppSampled":    func() (Result, error) { return RunAppSampled("jpegencode", MOM, 2, m, ScaleTest, SampleSpec{}) },
+	} {
+		if _, err := run(); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s at width 2 on %s: error %v, want %v", name, m.Name(), err, want)
 		}
 	}
 }

@@ -149,6 +149,9 @@ func estOrExactCycles(r Result) int64 {
 // of re-emulating, so sampled runs capture once and sample the replay. A
 // disabled spec reproduces RunKernel's result exactly.
 func RunKernelSampled(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
+	if err := m.CheckWidth(width); err != nil {
+		return Result{}, err
+	}
 	if err := sp.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -157,6 +160,9 @@ func RunKernelSampled(kernel string, i ISA, width int, m MemModel, sc Scale, sp 
 
 // RunAppSampled is RunKernelSampled for a full application.
 func RunAppSampled(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
+	if err := m.CheckWidth(width); err != nil {
+		return Result{}, err
+	}
 	if err := sp.Validate(); err != nil {
 		return Result{}, err
 	}
