@@ -112,27 +112,45 @@ func (m *Machine) acc(r isa.Reg) *simd.Acc {
 	}
 }
 
+// runBatch is how many records Run asks StepN for at a time.
+const runBatch = 256
+
 // Step executes one instruction and returns its dynamic record.
 // ok is false when the program has finished (or faulted; check m.Err).
 func (m *Machine) Step() (d Dyn, ok bool) {
-	if m.Done() {
+	var ds [1]Dyn
+	if m.StepN(ds[:]) == 0 {
 		return Dyn{}, false
 	}
+	return ds[0], true
+}
+
+// StepN executes up to len(ds) instructions, writing their dynamic records
+// to ds, and returns how many it executed. It stops early when the program
+// finishes or faults (check m.Err); a fault keeps the records before the
+// faulting instruction. The whole batch shares one deferred fault recovery.
+func (m *Machine) StepN(ds []Dyn) (n int) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, isFault := r.(memFault); isFault {
-				m.Err = fmt.Errorf("%s: pc=%d %s: %w",
-					m.Prog.Name, m.PC, m.Prog.Insts[m.PC].String(), error(f))
-				ok = false
-				return
+			f, isFault := r.(memFault)
+			if !isFault {
+				panic(r)
 			}
-			panic(r)
+			m.Err = fmt.Errorf("%s: pc=%d %s: %w",
+				m.Prog.Name, m.PC, m.Prog.Insts[m.PC].String(), error(f))
 		}
 	}()
+	for n < len(ds) && !m.Done() && m.exec(&ds[n]) {
+		n++
+	}
+	return n
+}
 
+// exec executes the instruction at m.PC into d. It returns false, with
+// m.Err set, when the instruction fails without a memory fault.
+func (m *Machine) exec(d *Dyn) bool {
 	in := &m.Prog.Insts[m.PC]
-	info := in.Op.Info()
-	d = Dyn{SI: m.PC, Op: in.Op, Class: info.Class, VL: m.VL}
+	*d = Dyn{SI: m.PC, Op: in.Op, Class: in.Op.Info().Class, VL: m.VL}
 	next := m.PC + 1
 
 	switch in.Op {
@@ -151,7 +169,7 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 		den := m.op2(in)
 		if den == 0 {
 			m.Err = fmt.Errorf("%s: pc=%d divide by zero", m.Prog.Name, m.PC)
-			return Dyn{}, false
+			return false
 		}
 		m.setInt(in.Dst, uint64(int64(m.reg(in.Src[0]))/den))
 	case isa.UMULH:
@@ -333,7 +351,7 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 		v := in.Imm
 		if v < 0 || v > isa.MaxVL {
 			m.Err = fmt.Errorf("%s: pc=%d setvli %d out of range", m.Prog.Name, m.PC, v)
-			return Dyn{}, false
+			return false
 		}
 		m.VL = int(v)
 	case isa.MOMLDQ:
@@ -398,24 +416,27 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 	default:
 		if !m.execPacked(in) {
 			m.Err = fmt.Errorf("%s: pc=%d unknown opcode %d", m.Prog.Name, m.PC, in.Op)
-			return Dyn{}, false
+			return false
 		}
 	}
 
 	m.PC = next
 	m.Steps++
-	return d, true
+	return true
 }
 
 // Run executes until completion or maxSteps, returning the dynamic
-// instruction count.
+// instruction count. It never starts step maxSteps+1: a program still
+// running after maxSteps steps fails.
 func (m *Machine) Run(maxSteps uint64) (uint64, error) {
+	var ds [runBatch]Dyn
 	start := m.Steps
 	for !m.Done() {
-		if m.Steps-start >= maxSteps {
+		left := maxSteps - (m.Steps - start)
+		if left == 0 {
 			return m.Steps - start, fmt.Errorf("%s: exceeded %d steps", m.Prog.Name, maxSteps)
 		}
-		if _, ok := m.Step(); !ok {
+		if m.StepN(ds[:min(left, runBatch)]) == 0 {
 			break
 		}
 	}

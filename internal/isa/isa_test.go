@@ -1,6 +1,11 @@
 package isa
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
 
 func TestEveryOpcodeHasInfo(t *testing.T) {
 	for _, op := range AllOpcodes() {
@@ -50,6 +55,9 @@ func TestCountByExtension(t *testing.T) {
 	mmx, mdmx, mom := CountByExtension()
 	if !(mmx < mdmx && mdmx < mom) {
 		t.Errorf("counts must be increasing: %d %d %d", mmx, mdmx, mom)
+	}
+	if mmx != 62 || mdmx != 79 || mom != 159 {
+		t.Errorf("CountByExtension() = %d, %d, %d, want 62, 79, 159", mmx, mdmx, mom)
 	}
 	t.Logf("instruction counts: MMX=%d MDMX=%d MOM=%d (paper: 67/88/121)", mmx, mdmx, mom)
 }
@@ -130,5 +138,42 @@ func TestClassPredicates(t *testing.T) {
 	}
 	if !ClassLoad.IsMem() || ClassLoad.IsVector() {
 		t.Error("ClassLoad predicates wrong")
+	}
+}
+
+// TestOpcodeTable checks the dense opcode table against the registrations
+// recorded in testdata/opcodes.golden (one "opcode name class latency" line
+// per registered opcode, derived v* twins included, in ascending order),
+// and AllOpcodes' ordering along with it.
+func TestOpcodeTable(t *testing.T) {
+	raw, err := os.ReadFile("testdata/opcodes.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var got []string
+	for _, op := range AllOpcodes() {
+		in := op.Info()
+		got = append(got, fmt.Sprintf("%d %s %s %d", op, in.Name, in.Class, in.Lat))
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d registered opcodes, want %d", len(got), len(want))
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("entry %d: %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+func TestUnregisteredOpcodeInfo(t *testing.T) {
+	unknown := Info{Name: "op?", Class: ClassNop, Lat: 1}
+	for _, op := range []Opcode{numScalarOps, packedFirst + VectorDelta - 1, opEnd, 0xFFFF} {
+		if op.Known() {
+			t.Errorf("opcode %d reported as known", op)
+		}
+		if got := op.Info(); got != unknown {
+			t.Errorf("opcode %d: Info() = %+v, want %+v", op, got, unknown)
+		}
 	}
 }

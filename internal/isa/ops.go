@@ -297,10 +297,22 @@ type Info struct {
 	Lat   int // execution latency in cycles (memory ops: address-gen latency)
 }
 
-var infoTab = map[Opcode]Info{}
+// opEnd bounds the opcode space: the last derived vector twin is
+// packedEnd-1+VectorDelta.
+const opEnd = packedEnd + VectorDelta
+
+// opEntry is one slot of the opcode table; known marks a registered opcode.
+type opEntry struct {
+	Info
+	known bool
+}
+
+// infoTab is the opcode table, indexed by opcode. Every opcode query reads
+// it: the emulator looks up each dynamic instruction here.
+var infoTab [opEnd]opEntry
 
 func reg(op Opcode, name string, c Class, lat int) {
-	infoTab[op] = Info{name, c, lat}
+	infoTab[op] = opEntry{Info{name, c, lat}, true}
 }
 
 // Latency constants, loosely following an R10000-era design.
@@ -471,38 +483,37 @@ func init() {
 
 	// Derive the MOM vector twins of every packed opcode.
 	for op := packedFirst; op < packedEnd; op++ {
-		in, ok := infoTab[op]
-		if !ok {
+		in := infoTab[op]
+		if !in.known {
 			continue // gap (there are none, but be safe)
 		}
 		cls := ClassMomSimple
 		if in.Class == ClassMedComplex {
 			cls = ClassMomComplex
 		}
-		infoTab[op+VectorDelta] = Info{"v" + in.Name, cls, in.Lat}
+		reg(op+VectorDelta, "v"+in.Name, cls, in.Lat)
 	}
 }
 
 // Info returns the static description of op.
 func (op Opcode) Info() Info {
-	in, ok := infoTab[op]
-	if !ok {
-		return Info{Name: "op?", Class: ClassNop, Lat: 1}
+	if op.Known() {
+		return infoTab[op].Info
 	}
-	return in
+	return Info{Name: "op?", Class: ClassNop, Lat: 1}
 }
 
 // Known reports whether op is a registered opcode.
-func (op Opcode) Known() bool {
-	_, ok := infoTab[op]
-	return ok
-}
+func (op Opcode) Known() bool { return op < opEnd && infoTab[op].known }
 
-// AllOpcodes returns every registered opcode (useful for exhaustive tests).
+// AllOpcodes returns every registered opcode in ascending order (useful for
+// exhaustive tests).
 func AllOpcodes() []Opcode {
-	ops := make([]Opcode, 0, len(infoTab))
-	for op := range infoTab {
-		ops = append(ops, op)
+	var ops []Opcode
+	for op := Opcode(0); op < opEnd; op++ {
+		if infoTab[op].known {
+			ops = append(ops, op)
+		}
 	}
 	return ops
 }
@@ -512,9 +523,8 @@ func AllOpcodes() []Opcode {
 // MOM ~121). Scalar/branch/FP opcodes are excluded (they belong to the
 // Alpha base).
 func CountByExtension() (mmx, mdmx, mom int) {
-	for op := range infoTab {
-		in := infoTab[op]
-		switch in.Class {
+	for _, op := range AllOpcodes() {
+		switch infoTab[op].Class {
 		case ClassMedSimple, ClassMedComplex:
 			if op >= ACLR && op <= ACCSQDH || op >= RACH && op <= WACB {
 				mdmx++ // accumulator ops: MDMX and MOM only

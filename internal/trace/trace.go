@@ -89,8 +89,9 @@ func (b *Block) add(d *emu.Dyn) int64 {
 	return n
 }
 
-// liveBlockRecords is how many instructions Live emulates per block: enough
-// to amortise the call, small enough that the scratch columns stay in L1.
+// liveBlockRecords is how many instructions Live emulates per block, and
+// Capture per emu.Machine.StepN batch: enough to amortise the call, small
+// enough that the scratch records and columns stay in cache.
 const liveBlockRecords = 256
 
 // Live adapts a functional emulator into a Source (the interleaved
@@ -99,6 +100,7 @@ const liveBlockRecords = 256
 type Live struct {
 	m   *emu.Machine
 	buf Block
+	dyn [liveBlockRecords]emu.Dyn
 }
 
 // NewLive wraps a machine as a Source.
@@ -119,12 +121,9 @@ func (l *Live) Program() *isa.Program { return l.m.Prog }
 func (l *Live) NextBlock(max int) Block {
 	b := &l.buf
 	b.SI, b.Meta, b.EA, b.Stride = b.SI[:0], b.Meta[:0], b.EA[:0], b.Stride[:0]
-	for n := min(max, liveBlockRecords); len(b.SI) < n; {
-		d, ok := l.m.Step()
-		if !ok {
-			break
-		}
-		b.add(&d)
+	n := l.m.StepN(l.dyn[:min(max, liveBlockRecords)])
+	for i := range l.dyn[:n] {
+		b.add(&l.dyn[i])
 	}
 	return *b
 }
@@ -336,31 +335,40 @@ func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 	t := &Trace{prog: m.Prog}
 	var c *Block
 	var bytes int64
+	var ds [liveBlockRecords]emu.Dyn
 	for {
-		d, ok := m.Step()
-		if !ok {
+		// Emulate at most maxSteps+1 records in all: the one past the
+		// limit is the proof that the program exceeds it.
+		batch := ds[:]
+		if left := maxSteps - t.n; left < uint64(len(batch)) {
+			batch = batch[:left+1]
+		}
+		batch = batch[:m.StepN(batch)]
+		if len(batch) == 0 {
 			break
 		}
-		if t.n >= maxSteps {
-			return nil, granted, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
-		}
-		if c == nil || len(c.SI) == chunkRecords {
-			t.chunks = append(t.chunks, Block{
-				SI:   make([]int32, 0, chunkRecords),
-				Meta: make([]uint8, 0, chunkRecords),
-			})
-			c = &t.chunks[len(t.chunks)-1]
-		}
-		bytes += c.add(&d)
-		t.n++
-		for bytes > granted {
-			switch {
-			case reserve(grantQuantum):
-				granted += grantQuantum
-			case reserve(grantFine):
-				granted += grantFine
-			default:
-				return nil, granted, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, granted)
+		for i := range batch {
+			if t.n >= maxSteps {
+				return nil, granted, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
+			}
+			if c == nil || len(c.SI) == chunkRecords {
+				t.chunks = append(t.chunks, Block{
+					SI:   make([]int32, 0, chunkRecords),
+					Meta: make([]uint8, 0, chunkRecords),
+				})
+				c = &t.chunks[len(t.chunks)-1]
+			}
+			bytes += c.add(&batch[i])
+			t.n++
+			for bytes > granted {
+				switch {
+				case reserve(grantQuantum):
+					granted += grantQuantum
+				case reserve(grantFine):
+					granted += grantFine
+				default:
+					return nil, granted, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, granted)
+				}
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -254,6 +256,32 @@ func TestWarmNextMatchesNext(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("resume: %+v != %+v", got, want)
+		}
+	}
+}
+
+// TestCaptureStepLimit: a program of N dynamic instructions captures under
+// a limit of N; under N-1 it fails after emulating exactly N records, the
+// one past the limit included. Both a short program (inside one StepN
+// batch) and a multi-batch one are checked.
+func TestCaptureStepLimit(t *testing.T) {
+	for _, p := range []*isa.Program{mixedProgram(3, false), mixedProgram(500, false)} {
+		tr, err := Capture(emu.New(p), testMaxSteps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tr.Records()
+		if tr, err := Capture(emu.New(p), n, 0); err != nil || tr.Records() != n {
+			t.Errorf("Capture(%d): %v", n, err)
+		}
+		m := emu.New(p)
+		_, err = Capture(m, n-1, 0)
+		want := fmt.Sprintf("exceeded %d steps", n-1)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Capture(%d) error %v, want %q", n-1, err, want)
+		}
+		if m.Steps != n {
+			t.Errorf("Capture(%d) emulated %d records, want %d", n-1, m.Steps, n)
 		}
 	}
 }
