@@ -3,6 +3,7 @@ package mom
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/apps"
 	"repro/internal/cpu"
@@ -210,6 +211,7 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 		}
 	}
 	rows := make([]AppSpeedup, len(jobs))
+	sp = sp.fanOut(len(jobs), runtime.GOMAXPROCS(0))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
 		res, err := runAppCached(j.app, j.cfg.ISA, j.width, DetailedMemory(j.cfg.Cache), sc, sp)
@@ -296,6 +298,7 @@ func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 		}
 	}
 	rows := make([]ProfileRow, len(jobs))
+	sp = sp.fanOut(len(jobs), runtime.GOMAXPROCS(0))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
 		res, err := runKernelCached(j.kernel, j.isa, width, j.mem, sc, sp)

@@ -12,10 +12,13 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"os"
@@ -176,12 +179,13 @@ func (s *Store) Has(key string) bool {
 
 // GetStream opens the stored value for key as a payload reader, so large
 // values stream to their consumer instead of materialising. Only the header
-// is verified here — magic, declared length — NOT the payload checksum:
-// GetStream exists for payloads that carry their own internal framing
-// checks (trace artifacts verify per-chunk CRCs and a program fingerprint
-// as they decode). A consumer whose own verification fails must call
-// Invalidate. The returned size is the declared payload length; the reader
-// yields at most that many bytes and the caller owns Close.
+// is verified here — magic, declared length against the file's size — NOT
+// the payload checksum: GetStream exists for payloads that carry their own
+// internal framing checks (trace artifacts verify per-chunk CRCs and a
+// program fingerprint as they decode). A consumer whose own verification
+// fails must call Invalidate. The returned size is the declared payload
+// length; the reader yields at most that many bytes and the caller owns
+// Close.
 func (s *Store) GetStream(key string) (io.ReadCloser, int64, bool) {
 	if !validKey(key) {
 		s.count(func(st *Stats) { st.Misses++ })
@@ -204,13 +208,8 @@ func (s *Store) GetStream(key string) (io.ReadCloser, int64, bool) {
 		return nil, 0, false
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
-	header, err := br.ReadString('\n')
-	var n int64
-	if err == nil {
-		var wantHex string
-		_, err = fmt.Sscanf(header, fileMagic+" %64s %d\n", &wantHex, &n)
-	}
-	if err != nil || n < 0 {
+	_, n, err := readHeader(f, br)
+	if err != nil {
 		f.Close()
 		s.removeDamaged(key)
 		s.count(func(st *Stats) { st.Misses++ })
@@ -246,8 +245,44 @@ func (s *Store) Invalidate(key string) {
 // until the store fits its budget. Re-putting an existing key refreshes
 // its value and recency.
 func (s *Store) Put(key string, val []byte) error {
+	return s.PutFrom(key, int64(len(val)), bytes.NewReader(val))
+}
+
+// PutFrom is Put for an n-byte value that src writes out, so a large value
+// streams into the entry file instead of first being rendered whole in
+// memory. src must write exactly n bytes; fewer, more, or a write error
+// fails the Put and leaves the store as it was.
+func (s *Store) PutFrom(key string, n int64, src io.WriterTo) error {
+	return s.write(key, n, src, false)
+}
+
+// Fill stores a value obtained from a peer rather than computed locally.
+// The write path is identical to Put — atomic, verified, LRU-bounded — it
+// is counted separately so fill-on-miss traffic is visible, and a value
+// already present is left untouched (the peer's copy of an entry this
+// store already verified cannot be fresher: keys are content addresses).
+func (s *Store) Fill(key string, val []byte) error {
+	return s.FillFrom(key, int64(len(val)), bytes.NewReader(val))
+}
+
+// FillFrom is Fill for an n-byte value that src writes out (see PutFrom).
+func (s *Store) FillFrom(key string, n int64, src io.WriterTo) error {
+	if s.Has(key) {
+		return nil
+	}
+	return s.write(key, n, src, true)
+}
+
+// write is the one entry write path behind Put and Fill: the value goes to
+// a temp file in the key's directory, which is fsynced and renamed over the
+// entry, and only then indexed and counted (as a fill or a put) under one
+// hold of the lock, so no Stats snapshot sees a half-counted write.
+func (s *Store) write(key string, n int64, src io.WriterTo, fill bool) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
+	}
+	if n < 0 {
+		return fmt.Errorf("store: negative value length %d", n)
 	}
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -258,24 +293,12 @@ func (s *Store) Put(key string, val []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	sum := sha256.Sum256(val)
-	if _, err := fmt.Fprintf(tmp, "%s %s %d\n", fileMagic, hex.EncodeToString(sum[:]), len(val)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(val); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
+	size, err := writeEntry(tmp, n, src)
+	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	info, err := os.Stat(tmp.Name())
-	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
@@ -283,41 +306,69 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		s.bytes += info.Size() - e.size
-		e.size = info.Size()
+		s.bytes += size - e.size
+		e.size = size
 		s.lru.MoveToFront(e.elem)
 	} else {
-		e := &entry{key: key, size: info.Size()}
+		e := &entry{key: key, size: size}
 		e.elem = s.lru.PushFront(e)
 		s.entries[key] = e
-		s.bytes += info.Size()
+		s.bytes += size
 	}
-	s.stats.Puts++
+	if fill {
+		s.stats.Fills++
+	} else {
+		s.stats.Puts++
+	}
 	s.evictLocked()
 	s.mu.Unlock()
 	return nil
 }
 
-// Fill stores a value obtained from a peer rather than computed locally.
-// The write path is identical to Put — atomic, verified, LRU-bounded — it
-// is counted separately so fill-on-miss traffic is visible, and a value
-// already present is left untouched (the peer's copy of an entry this
-// store already verified cannot be fresher: keys are content addresses).
-func (s *Store) Fill(key string, val []byte) error {
-	if !validKey(key) {
-		return fmt.Errorf("store: invalid key %q", key)
+// header renders an entry file's first line for a payload of n bytes with
+// SHA-256 sum. Its length depends only on n.
+func header(sum []byte, n int64) string {
+	return fmt.Sprintf("%s %x %d\n", fileMagic, sum, n)
+}
+
+// writeEntry writes a whole entry file into f and fsyncs it, returning its
+// size. The payload streams through a SHA-256 tee after a gap the length of
+// the header; the header, whose checksum is known only at the end, then
+// fills the gap.
+func writeEntry(f *os.File, n int64, src io.WriterTo) (int64, error) {
+	hdrLen := int64(len(header(make([]byte, sha256.Size), n)))
+	if _, err := f.Seek(hdrLen, io.SeekStart); err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
-	_, ok := s.entries[key]
-	s.mu.Unlock()
-	if ok {
-		return nil
+	w := &payloadWriter{f: f, h: sha256.New(), left: n}
+	if _, err := src.WriteTo(w); err != nil {
+		return 0, err
 	}
-	if err := s.Put(key, val); err != nil {
-		return err
+	if w.left != 0 {
+		return 0, fmt.Errorf("value %d bytes short of its declared %d", w.left, n)
 	}
-	s.count(func(st *Stats) { st.Fills++; st.Puts-- })
-	return nil
+	if _, err := f.WriteAt([]byte(header(w.h.Sum(nil), n)), 0); err != nil {
+		return 0, err
+	}
+	return hdrLen + n, f.Sync()
+}
+
+// payloadWriter writes a value into its entry file and its checksum,
+// refusing any byte past the declared length.
+type payloadWriter struct {
+	f    *os.File
+	h    hash.Hash
+	left int64
+}
+
+func (w *payloadWriter) Write(p []byte) (int, error) {
+	if int64(len(p)) > w.left {
+		return 0, errors.New("value longer than its declared length")
+	}
+	w.h.Write(p)
+	n, err := w.f.Write(p)
+	w.left -= int64(n)
+	return n, err
 }
 
 // evictLocked drops least-recently-used entries until the byte budget is
@@ -378,17 +429,9 @@ func readEntry(path string) ([]byte, error) {
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	header, err := r.ReadString('\n')
+	want, n, err := readHeader(f, r)
 	if err != nil {
-		return nil, err
-	}
-	var wantHex string
-	var n int
-	if _, err := fmt.Sscanf(header, fileMagic+" %64s %d\n", &wantHex, &n); err != nil {
-		return nil, fmt.Errorf("store: bad header in %s: %w", path, err)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("store: bad length in %s", path)
+		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
 	val := make([]byte, n)
 	if _, err := io.ReadFull(r, val); err != nil {
@@ -397,9 +440,36 @@ func readEntry(path string) ([]byte, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("store: trailing bytes in %s", path)
 	}
-	sum := sha256.Sum256(val)
-	if hex.EncodeToString(sum[:]) != wantHex {
+	if sum := sha256.Sum256(val); !bytes.Equal(sum[:], want) {
 		return nil, fmt.Errorf("store: checksum mismatch in %s", path)
 	}
 	return val, nil
+}
+
+// readHeader reads the header line of entry file f through r and returns
+// the payload checksum and length it declares. The line must be exactly
+// what header renders, and the length must be what the file holds after
+// it, so a damaged length can neither size an allocation nor promise
+// bytes that are not there.
+func readHeader(f *os.File, r *bufio.Reader) (sum []byte, n int64, err error) {
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		return nil, 0, fmt.Errorf("bad header: %w", err)
+	}
+	var sumHex string
+	if _, err := fmt.Sscanf(string(line), fileMagic+" %64s %d\n", &sumHex, &n); err != nil {
+		return nil, 0, fmt.Errorf("bad header: %w", err)
+	}
+	sum, err = hex.DecodeString(sumHex)
+	if err != nil || len(sum) != sha256.Size || n < 0 || header(sum, n) != string(line) {
+		return nil, 0, fmt.Errorf("bad header %q", line)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	if info.Size() != int64(len(line))+n {
+		return nil, 0, fmt.Errorf("header declares %d payload bytes, file holds %d", n, info.Size()-int64(len(line)))
+	}
+	return sum, n, nil
 }

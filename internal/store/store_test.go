@@ -252,6 +252,37 @@ func TestFill(t *testing.T) {
 	if err := s.Fill("not-a-key", val); err == nil {
 		t.Fatal("invalid key accepted")
 	}
+
+	// A fill is counted as a fill in one step: a concurrent Stats reader
+	// never sees it pass through the put counter.
+	done := make(chan struct{})
+	sawPut := make(chan Stats, 1)
+	go func() {
+		defer close(sawPut)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if st := s.Stats(); st.Puts > 0 {
+				sawPut <- st
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := s.Fill(key(fmt.Sprint("fill", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if st, ok := <-sawPut; ok {
+		t.Fatalf("concurrent Stats saw a fill counted as a put: %+v", st)
+	}
+	if st := s.Stats(); st.Fills != 51 || st.Puts != 0 {
+		t.Fatalf("stats %+v, want 51 fills / 0 puts", st)
+	}
 }
 
 // TestHas probes the index without disturbing counters or recency.

@@ -67,11 +67,11 @@ type JobRequest struct {
 	SampleWarmup   uint64 `json:"sample_warmup,omitempty"`
 	SampleInterval uint64 `json:"sample_interval,omitempty"`
 
-	// SamplePar is the sampled-simulation worker count (0 = all host
-	// cores, 1 = serial). It is a pure speed knob — parallel results are
-	// bit-identical to serial — so Normalized always clears it: requests
-	// differing only in SamplePar share one content-address key and one
-	// stored result.
+	// SamplePar is the sampled-simulation worker count per run (0 =
+	// automatic, see SampleSpec.Parallelism; 1 = serial). It is a pure
+	// speed knob — parallel results are bit-identical to serial — so
+	// Normalized always clears it: requests differing only in SamplePar
+	// share one content-address key and one stored result.
 	SamplePar int `json:"sample_par,omitempty"`
 }
 

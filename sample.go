@@ -22,11 +22,14 @@ type SampleSpec struct {
 	Interval uint64 `json:"interval"`
 
 	// Parallelism is the worker count for the checkpoint-based parallel
-	// interval path (cpu.SampleSpec.Parallelism). 0 — the default — means
-	// "use every host core" (runtime.GOMAXPROCS); 1 forces the serial loop.
-	// The knob is a pure speed lever: results are bit-identical at any
-	// value, so it is excluded from JSON envelopes and content-address
-	// keys (see JobRequest).
+	// interval path (cpu.SampleSpec.Parallelism); 1 forces the serial loop.
+	// 0 — the default — is automatic: a single run (RunAppSampled,
+	// RunKernelSampled) uses every host core (runtime.GOMAXPROCS), while a
+	// driver that already fans many sampled runs out over the cores
+	// (Figure7Sampled, ProfileStudySampled) gives each run its share of
+	// them, at least one (see fanOut). The knob is a pure speed lever:
+	// results are bit-identical at any value, so it is excluded from JSON
+	// envelopes and content-address keys (see JobRequest).
 	Parallelism int `json:"-"`
 }
 
@@ -51,6 +54,21 @@ func (sp SampleSpec) cpu() cpu.SampleSpec {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return cpu.SampleSpec{Period: sp.Period, Warmup: sp.Warmup, Interval: sp.Interval, Parallelism: workers}
+}
+
+// fanOut resolves an automatic Parallelism for one of n sampled runs that a
+// driver executes side by side on procs cores: each run gets procs/n
+// workers, at least one. Without it every run would nest a second all-core
+// fan-out on cores the driver's own fan-out already fills, and pay the
+// parallel pipeline's serial checkpoint sweep — a second warming pass over
+// the whole trace — for no extra parallelism; at one worker a run takes
+// the serial loop, which warms each skip span once. An explicit
+// Parallelism passes through unchanged.
+func (sp SampleSpec) fanOut(n, procs int) SampleSpec {
+	if sp.Parallelism == 0 {
+		sp.Parallelism = max(1, procs/max(n, 1))
+	}
+	return sp
 }
 
 // String renders the spec in the "period:warmup:interval" form

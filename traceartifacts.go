@@ -11,7 +11,6 @@ package mom
 // artifact reads as a miss and the workload is recaptured.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -206,27 +205,15 @@ func loadArtifact(key traceKey) (tr *trace.Trace, budgetRefused bool) {
 	return nil, false
 }
 
-// encodeArtifact renders a trace's artifact bytes.
-func encodeArtifact(tr *trace.Trace) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, tr.EncodedSize()))
-	if _, err := tr.WriteTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// storeArtifact writes a fresh capture through to the artifact store. Best
-// effort, like every store write: a failure only costs a future recapture.
+// storeArtifact writes a fresh capture through to the artifact store,
+// streaming the encoding into the entry file. Best effort, like every
+// store write: a failure only costs a future recapture.
 func storeArtifact(key traceKey, tr *trace.Trace) {
 	st := artifactStore.Load()
 	if st == nil {
 		return
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		return
-	}
-	if st.Put(key.artifactKey(), blob) == nil {
+	if st.PutFrom(key.artifactKey(), tr.EncodedSize(), tr) == nil {
 		traceStats.diskWrites.Add(1)
 	}
 }
@@ -236,11 +223,7 @@ func fillArtifact(st *store.Store, akey string, tr *trace.Trace) {
 	if st == nil {
 		return
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		return
-	}
-	if st.Fill(akey, blob) == nil {
+	if st.FillFrom(akey, tr.EncodedSize(), tr) == nil {
 		traceStats.diskWrites.Add(1)
 	}
 }

@@ -198,11 +198,7 @@ func TestArtifactFingerprintMismatchRecaptures(t *testing.T) {
 	if tr == nil {
 		t.Fatal("donor capture failed")
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(victim.artifactKey(), blob); err != nil {
+	if err := st.PutFrom(victim.artifactKey(), tr.EncodedSize(), tr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -304,10 +300,11 @@ func TestArtifactPeerFetcher(t *testing.T) {
 	if tr == nil {
 		t.Fatal("donor capture failed")
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	blob := buf.Bytes()
 
 	// Simulate a restart with an empty local store but a peer that has the
 	// artifact: the fetcher serves the encoded bytes.
