@@ -168,13 +168,13 @@ func main() {
 			}
 		}
 	case *kernel != "":
-		res, err := mom.RunKernelSampled(*kernel, i, *width, m, sc, sp)
+		res, err := mom.RunKernel(*kernel, i, *width, m, sc, sp)
 		if err != nil {
 			fatal(err)
 		}
 		emitResult(res, outFormat)
 	case *app != "":
-		res, err := mom.RunAppSampled(*app, i, *width, m, sc, sp)
+		res, err := mom.RunApp(*app, i, *width, m, sc, sp)
 		if err != nil {
 			fatal(err)
 		}
@@ -274,7 +274,7 @@ func runExperiment(ctx context.Context, exp string, sc mom.Scale, i mom.ISA, wid
 		}
 		fmt.Print(mom.FormatFetch(rows))
 	case "profile":
-		rows, err := mom.ProfileStudySampled(ctx, sc, width, sp)
+		rows, err := mom.ProfileStudy(ctx, sc, width, sp)
 		if err != nil {
 			return err
 		}
@@ -286,7 +286,7 @@ func runExperiment(ctx context.Context, exp string, sc mom.Scale, i mom.ISA, wid
 		}
 		fmt.Print(mom.FormatProfile(rows))
 	case "hotspots":
-		reps, err := mom.HotspotStudySampled(ctx, sc, width, sp)
+		reps, err := mom.HotspotStudy(ctx, sc, width, sp)
 		if err != nil {
 			return err
 		}

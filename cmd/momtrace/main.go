@@ -242,7 +242,14 @@ func main() {
 	for c, n := range classCount {
 		mix = append(mix, kv{c.String(), n})
 	}
-	sort.Slice(mix, func(i, j int) bool { return mix[i].v > mix[j].v })
+	// Classes with equal counts print by name, so the listing does not
+	// follow map iteration order.
+	sort.Slice(mix, func(i, j int) bool {
+		if mix[i].v != mix[j].v {
+			return mix[i].v > mix[j].v
+		}
+		return mix[i].k < mix[j].k
+	})
 	for _, e := range mix {
 		fmt.Printf("  %-8s %10d (%.1f%%)\n", e.k, e.v, 100*float64(e.v)/float64(total))
 	}
@@ -273,9 +280,9 @@ func main() {
 	if *profile {
 		var r mom.Result
 		if *app != "" {
-			r, err = mom.RunApp(*app, level, 4, mom.PerfectMemory(1), mom.ScaleTest)
+			r, err = mom.RunApp(*app, level, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 		} else {
-			r, err = mom.RunKernel(*kernel, level, 4, mom.PerfectMemory(1), mom.ScaleTest)
+			r, err = mom.RunKernel(*kernel, level, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "momtrace:", err)

@@ -14,7 +14,7 @@ import (
 )
 
 func run(k string, i mom.ISA, w int, m mom.MemModel) mom.Result {
-	r, err := mom.RunKernel(k, i, w, m, mom.ScaleTest)
+	r, err := mom.RunKernel(k, i, w, m, mom.ScaleTest, mom.SampleSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

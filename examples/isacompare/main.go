@@ -26,7 +26,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			r, err := mom.RunKernel(k, level, 4, mom.PerfectMemory(1), mom.ScaleTest)
+			r, err := mom.RunKernel(k, level, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 			if err != nil {
 				log.Fatal(err)
 			}

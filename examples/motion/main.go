@@ -21,7 +21,7 @@ func main() {
 	for _, isaLevel := range mom.AllISAs {
 		fmt.Printf("%-6s", isaLevel)
 		for _, w := range []int{1, 2, 4, 8} {
-			r, err := mom.RunKernel("motion1", isaLevel, w, mom.PerfectMemory(1), mom.ScaleTest)
+			r, err := mom.RunKernel("motion1", isaLevel, w, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func main() {
 	for _, isaLevel := range mom.AllISAs {
 		fmt.Printf("%-6s", isaLevel)
 		for _, w := range []int{1, 2, 4, 8} {
-			r, err := mom.RunKernel("motion1", isaLevel, w, mom.PerfectMemory(1), mom.ScaleTest)
+			r, err := mom.RunKernel("motion1", isaLevel, w, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func main() {
 
 	fmt.Println("\nwhy: one MOM instruction does the work of a whole loop —")
 	for _, isaLevel := range mom.AllISAs {
-		r, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(1), mom.ScaleTest)
+		r, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,11 +58,11 @@ func main() {
 
 	fmt.Println("\nmemory-latency tolerance (4-way, latency 1 -> 50 cycles):")
 	for _, isaLevel := range mom.AllISAs {
-		r1, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(1), mom.ScaleTest)
+		r1, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		r50, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(50), mom.ScaleTest)
+		r50, err := mom.RunKernel("motion1", isaLevel, 4, mom.PerfectMemory(50), mom.ScaleTest, mom.SampleSpec{})
 		if err != nil {
 			log.Fatal(err)
 		}

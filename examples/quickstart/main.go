@@ -55,7 +55,7 @@ func main() {
 		res.Insts, res.Cycles, res.IPC(), res.WordOps)
 
 	// The same machinery drives the paper's kernels via the public API.
-	r, err := mom.RunKernel("motion1", mom.MOM, 4, mom.PerfectMemory(1), mom.ScaleTest)
+	r, err := mom.RunKernel("motion1", mom.MOM, 4, mom.PerfectMemory(1), mom.ScaleTest, mom.SampleSpec{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func main() {
 		fmt.Printf("\n%d-way machine\n", w)
 		var base int64
 		for _, cfg := range configs {
-			r, err := mom.RunApp("mpeg2decode", cfg.isa, w, mom.DetailedMemory(cfg.cache), mom.ScaleTest)
+			r, err := mom.RunApp("mpeg2decode", cfg.isa, w, mom.DetailedMemory(cfg.cache), mom.ScaleTest, mom.SampleSpec{})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,15 +5,11 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/apps"
 	"repro/internal/cpu"
-	"repro/internal/emu"
 	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/regfile"
-	"repro/internal/trace"
 )
 
 // This file contains the drivers that regenerate every table and figure of
@@ -58,7 +54,7 @@ func Figure5(ctx context.Context, sc Scale) ([]KernelSpeedup, error) {
 	rows := make([]KernelSpeedup, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, j.width, PerfectMemory(1), sc, SampleSpec{})
+		res, err := RunKernel(j.kernel, j.isa, j.width, PerfectMemory(1), sc, SampleSpec{})
 		if err != nil {
 			return err
 		}
@@ -117,11 +113,11 @@ func LatencyStudy(ctx context.Context, sc Scale, width int) ([]LatencyRow, error
 	rows := make([]LatencyRow, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		r1, err := runKernelCached(j.kernel, j.isa, width, PerfectMemory(1), sc, SampleSpec{})
+		r1, err := RunKernel(j.kernel, j.isa, width, PerfectMemory(1), sc, SampleSpec{})
 		if err != nil {
 			return err
 		}
-		r50, err := runKernelCached(j.kernel, j.isa, width, PerfectMemory(50), sc, SampleSpec{})
+		r50, err := RunKernel(j.kernel, j.isa, width, PerfectMemory(50), sc, SampleSpec{})
 		if err != nil {
 			return err
 		}
@@ -214,7 +210,7 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 	sp = sp.fanOut(len(jobs), runtime.GOMAXPROCS(0))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runAppCached(j.app, j.cfg.ISA, j.width, DetailedMemory(j.cfg.Cache), sc, sp)
+		res, err := RunApp(j.app, j.cfg.ISA, j.width, DetailedMemory(j.cfg.Cache), sc, sp)
 		if err != nil {
 			return err
 		}
@@ -268,16 +264,10 @@ type ProfileRow struct {
 // scalar and packed ISAs serialise on loads. Every row is checked against
 // the attribution identity (buckets sum to Cycles) and the memory counter
 // invariants before being returned, so a broken counter fails the study
-// rather than skewing it.
-func ProfileStudy(ctx context.Context, sc Scale, width int) ([]ProfileRow, error) {
-	return ProfileStudySampled(ctx, sc, width, SampleSpec{})
-}
-
-// ProfileStudySampled is ProfileStudy under a sampling regime; the rows'
-// profiles then cover the measured intervals only, but every attribution
-// and counter invariant still holds (and is still checked). A disabled
-// spec is bit-identical to ProfileStudy.
-func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]ProfileRow, error) {
+// rather than skewing it. Under an enabled spec the rows' profiles cover
+// the measured intervals only, but every attribution and counter invariant
+// still holds (and is still checked).
+func ProfileStudy(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]ProfileRow, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,7 +291,7 @@ func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 	sp = sp.fanOut(len(jobs), runtime.GOMAXPROCS(0))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, width, j.mem, sc, sp)
+		res, err := RunKernel(j.kernel, j.isa, width, j.mem, sc, sp)
 		if err != nil {
 			return err
 		}
@@ -349,7 +339,7 @@ func FetchPressure(ctx context.Context, sc Scale) ([]FetchRow, error) {
 	rows := make([]FetchRow, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, 4, PerfectMemory(1), sc, SampleSpec{})
+		res, err := RunKernel(j.kernel, j.isa, 4, PerfectMemory(1), sc, SampleSpec{})
 		if err != nil {
 			return err
 		}
@@ -473,16 +463,16 @@ type RegSweepRow struct {
 }
 
 // variantCycles is the shared core of the resource ablations
-// (RegisterSweep, MemorySweep): run one traced workload across n machine
-// variants on a bounded pool and report each variant's cycle count. The
-// trace is captured once and replayed for every variant — it is width-
-// and resource-independent — with mk rebuilding the machine for the live
-// fallback; build returns variant i's processor and memory configuration.
-func variantCycles(ctx context.Context, n int, tr *trace.Trace, cause liveCause, mk func() *emu.Machine, build func(i int) (cpu.Config, mem.Model)) ([]int64, error) {
+// (RegisterSweep, MemorySweep): time one workload across n machine
+// variants on a bounded pool and report each variant's cycle count. Every
+// variant runs through run, so the trace is captured once and replayed (or
+// streamed) for all of them — it is width- and resource-independent; build
+// returns variant i's processor and memory configuration.
+func variantCycles(ctx context.Context, key traceKey, n int, build func(i int) (cpu.Config, mem.Model)) ([]int64, error) {
 	cycles := make([]int64, n)
 	err := par.For(ctx, n, func(i int) error {
 		cfg, model := build(i)
-		res, err := runConfig(cfg, model, tr, cause, mk)
+		res, err := run(key, cfg, model, SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
@@ -499,14 +489,8 @@ func variantCycles(ctx context.Context, n int, tr *trace.Trace, cause liveCause,
 // 4-way MOM machine and reports the cycle cost, showing performance
 // saturating around the paper's choice of 20.
 func RegisterSweep(ctx context.Context, sc Scale, kernel string) ([]RegSweepRow, error) {
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
-	if err != nil {
-		return nil, err
-	}
-	tr, cause := cachedTraceCause(traceKey{name: kernel, isa: MOM, scale: sc})
 	sizes := []int{17, 18, 20, 24, 32}
-	cycles, err := variantCycles(ctx, len(sizes), tr, cause,
-		func() *emu.Machine { return emu.New(k.Build(isa.ExtMOM)) },
+	cycles, err := variantCycles(ctx, traceKey{name: kernel, isa: MOM, scale: sc}, len(sizes),
 		func(i int) (cpu.Config, mem.Model) {
 			cfg := cpu.NewConfig(4, isa.ExtMOM)
 			cfg.MomPhys = sizes[i]
@@ -547,13 +531,7 @@ func MemorySweep(ctx context.Context, sc Scale, app string) ([]MemSweepRow, erro
 		{8, 2},
 		{8, 1},
 	}
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return nil, err
-	}
-	tr, cause := cachedTraceCause(traceKey{app: true, name: app, isa: MOM, scale: sc})
-	cycles, err := variantCycles(ctx, len(variants), tr, cause,
-		func() *emu.Machine { return emu.New(a.Build(isa.ExtMOM)) },
+	cycles, err := variantCycles(ctx, traceKey{app: true, name: app, isa: MOM, scale: sc}, len(variants),
 		func(i int) (cpu.Config, mem.Model) {
 			return cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{
 				Width: 4, Mode: mem.ModeMultiAddress, MSHRs: variants[i].mshrs, L1Banks: variants[i].banks,

@@ -39,7 +39,7 @@ func TestSampleFanOut(t *testing.T) {
 	}
 }
 
-// TestSampleFanOutDriverParity: Figure7Sampled and ProfileStudySampled
+// TestSampleFanOutDriverParity: Figure7Sampled and ProfileStudy
 // write byte-identical experiment documents whether each run's worker
 // count is resolved automatically, serial, or an explicit 3.
 func TestSampleFanOutDriverParity(t *testing.T) {
@@ -47,7 +47,7 @@ func TestSampleFanOutDriverParity(t *testing.T) {
 	drivers := map[string]func(sp SampleSpec) (any, error){
 		"fig7": func(sp SampleSpec) (any, error) { return Figure7Sampled(ctx, ScaleTest, sp) },
 		"profile": func(sp SampleSpec) (any, error) {
-			return ProfileStudySampled(ctx, ScaleTest, 4, sp)
+			return ProfileStudy(ctx, ScaleTest, 4, sp)
 		},
 	}
 	for exp, run := range drivers {

@@ -5,14 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/apps"
-	"repro/internal/cpu"
-	"repro/internal/emu"
-	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // HotspotRow attributes a run's cycles to one static instruction: its
@@ -82,73 +76,18 @@ func (h HotspotReport) CheckInvariants() error {
 	return nil
 }
 
-// runObserved times one workload with an observer attached to the pipeline,
-// replaying the cached trace when one is available and falling back to live
-// emulation otherwise (both paths publish identical event streams).
-// Under a sampling regime the observer sees measured-interval instructions
-// only, so per-PC aggregations still sum exactly to the (measured-interval)
-// run profile.
-func runObserved(app bool, name string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec, o obs.Observer) (Result, error) {
-	key := traceKey{app: app, name: name, isa: i, scale: sc}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	sim.Obs = o
-	var src trace.Source
-	tr, cause := cachedTraceCause(key)
-	switch {
-	case tr != nil:
-		traceStats.replays.Add(1)
-		src = tr.Reader()
-	default:
-		if cause == liveBudget {
-			// The trace would not fit RAM but may be persisted: stream it.
-			if st, closer, ok := openArtifactStream(key); ok {
-				defer closer.Close()
-				traceStats.replays.Add(1)
-				traceStats.streamReplays.Add(1)
-				src = st
-			}
-		}
-		if src == nil {
-			countLiveRun(cause)
-			var mk *emu.Machine
-			if app {
-				a, err := apps.ByName(name, apps.Scale(sc))
-				if err != nil {
-					return Result{}, err
-				}
-				mk = emu.New(a.Build(i.ext()))
-			} else {
-				k, err := kernels.ByName(name, kernels.Scale(sc))
-				if err != nil {
-					return Result{}, err
-				}
-				mk = emu.New(k.Build(i.ext()))
-			}
-			src = trace.NewLive(mk)
-		}
-	}
-	res, err := sim.RunSampled(src, maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", name, i, width, err)
-	}
-	return fromCPU(name, i, width, m.Name(), res), nil
-}
-
 // hotspotReport times one workload with a Hotspot aggregator attached and
 // assembles the per-PC report, rows sorted by attributed cycles (then PC).
-func hotspotReport(app bool, name string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (HotspotReport, error) {
-	var p *isa.Program
-	var err error
-	if app {
-		p, err = BuildApp(name, i, sc)
-	} else {
-		p, err = BuildKernel(name, i, sc)
-	}
+// Under a sampling regime the aggregator sees measured-interval
+// instructions only, so the per-PC rows still sum exactly to the
+// (measured-interval) run profile.
+func hotspotReport(key traceKey, width int, m MemModel, sp SampleSpec) (HotspotReport, error) {
+	p, err := key.program()
 	if err != nil {
 		return HotspotReport{}, err
 	}
 	hot := obs.NewHotspot(len(p.Insts))
-	res, err := runObserved(app, name, i, width, m, sc, sp, hot)
+	res, err := runWorkload(key, width, m, sp, hot)
 	if err != nil {
 		return HotspotReport{}, err
 	}
@@ -191,34 +130,19 @@ func hotspotReport(app bool, name string, i ISA, width int, m MemModel, sc Scale
 
 // KernelHotspots profiles one kernel per static instruction.
 func KernelHotspots(kernel string, i ISA, width int, m MemModel, sc Scale) (HotspotReport, error) {
-	return hotspotReport(false, kernel, i, width, m, sc, SampleSpec{})
+	return hotspotReport(traceKey{name: kernel, isa: i, scale: sc}, width, m, SampleSpec{})
 }
 
 // AppHotspots profiles one application per static instruction.
 func AppHotspots(app string, i ISA, width int, m MemModel, sc Scale) (HotspotReport, error) {
-	return hotspotReport(true, app, i, width, m, sc, SampleSpec{})
-}
-
-// AppHotspotsSampled profiles an application under a sampling regime: the
-// per-PC buckets cover (and sum exactly to) the measured intervals.
-func AppHotspotsSampled(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (HotspotReport, error) {
-	if err := sp.Validate(); err != nil {
-		return HotspotReport{}, err
-	}
-	return hotspotReport(true, app, i, width, m, sc, sp)
+	return hotspotReport(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, SampleSpec{})
 }
 
 // HotspotStudy profiles every kernel at every ISA level on the given issue
 // width with perfect memory (the machine of the kernel study), checking the
-// attribution invariants of every report.
-func HotspotStudy(ctx context.Context, sc Scale, width int) ([]HotspotReport, error) {
-	return HotspotStudySampled(ctx, sc, width, SampleSpec{})
-}
-
-// HotspotStudySampled is HotspotStudy under a sampling regime; every
-// report's attribution invariants are still checked exactly. A disabled
-// spec is bit-identical to HotspotStudy.
-func HotspotStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]HotspotReport, error) {
+// attribution invariants of every report. An enabled spec samples every
+// run; the invariants are still checked exactly.
+func HotspotStudy(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]HotspotReport, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,7 +160,8 @@ func HotspotStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 	}
 	out := make([]HotspotReport, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
-		rep, err := hotspotReport(false, jobs[idx].name, jobs[idx].isa, width, PerfectMemory(1), sc, sp)
+		key := traceKey{name: jobs[idx].name, isa: jobs[idx].isa, scale: sc}
+		rep, err := hotspotReport(key, width, PerfectMemory(1), sp)
 		if err != nil {
 			return err
 		}

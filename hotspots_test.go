@@ -23,7 +23,7 @@ func TestHotspotAttributionIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", k, i), func(t *testing.T) {
 				t.Parallel()
 				for _, w := range widths {
-					plain, err := runKernelCached(k, i, w, PerfectMemory(1), ScaleTest, SampleSpec{})
+					plain, err := RunKernel(k, i, w, PerfectMemory(1), ScaleTest, SampleSpec{})
 					if err != nil {
 						t.Fatalf("plain %d-way: %v", w, err)
 					}
@@ -54,7 +54,7 @@ func TestHotspotAttributionIdentityApps(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s", a, i), func(t *testing.T) {
 			t.Parallel()
 			m := DetailedMemory(MultiAddress)
-			plain, err := runAppCached(a, i, 4, m, ScaleTest, SampleSpec{})
+			plain, err := RunApp(a, i, 4, m, ScaleTest, SampleSpec{})
 			if err != nil {
 				t.Fatalf("plain: %v", err)
 			}
@@ -165,7 +165,7 @@ func TestPipelineExportFormats(t *testing.T) {
 		t.Errorf("chrome trace has %d events, want %d", got, want)
 	}
 	// Exporting must not perturb the timing either.
-	plain, err := runKernelCached("motion1", MOM, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+	plain, err := RunKernel("motion1", MOM, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

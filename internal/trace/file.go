@@ -268,11 +268,14 @@ func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *T
 	if err != nil {
 		return nil, 0, err
 	}
-	t := &Trace{prog: p, n: records, chunks: make([]Block, chunks)}
+	// Chunks are appended as their frames verify, never allocated up front
+	// from the header's count: the header is untrusted, and a lying one
+	// must cost a decode error, not a slice the size of its claim.
+	t := &Trace{prog: p, n: records}
 	var scratch []byte
 	for i := 0; i < chunks; i++ {
-		c := &t.chunks[i]
-		if err := readFrame(br, c, &scratch, i == chunks-1); err != nil {
+		var c Block
+		if err := readFrame(br, &c, &scratch, i == chunks-1); err != nil {
 			return nil, granted, err
 		}
 		cost := frameSize(len(c.SI), len(c.EA), len(c.Stride))
@@ -281,6 +284,7 @@ func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *T
 		}
 		granted += cost
 		t.bytes += cost
+		t.chunks = append(t.chunks, c)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, granted, fmt.Errorf("%w: trailing bytes after %d chunks", ErrFormat, chunks)

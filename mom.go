@@ -9,14 +9,20 @@
 //
 // The public surface is intentionally small:
 //
-//   - RunKernel / RunApp time one workload on one machine.
+//   - RunKernel / RunApp time one workload on one machine, exactly or
+//     under a SampleSpec.
 //   - Figure5, LatencyStudy, Table1, Table2, Table3, Figure7 regenerate the
-//     paper's artifacts.
+//     paper's artifacts (Figure7Sampled, ProfileStudy and HotspotStudy take
+//     a SampleSpec too).
 //   - BuildKernel exposes the generated programs for inspection.
 //   - KernelHotspots / AppHotspots / HotspotStudy attribute a run's cycles
 //     to single static instructions, and ExportKernelPipeline /
 //     ExportAppPipeline cut per-instruction pipeline traces (Konata /
 //     Perfetto formats) from the same event stream.
+//
+// Every timed run takes the same path (see run in tracecache.go): the
+// workload's recorded trace from the RAM cache, a stream of its disk
+// artifact when the RAM budget is full, live emulation otherwise.
 package mom
 
 import (
@@ -25,11 +31,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cpu"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // ISA selects the instruction-set level of a program and machine.
@@ -197,11 +201,12 @@ type Result struct {
 	OpMix   map[string]uint64 `json:"op_mix"`
 	Mem     MemStats          `json:"mem_stats"`
 	Profile Profile           `json:"profile"`
-	// Sampled is non-nil only for sampled runs (RunKernelSampled /
-	// RunAppSampled and the sampled experiment drivers). Cycles, Insts and
-	// Profile then cover the measured intervals only — the attribution
-	// identity Profile.Total() == Cycles still holds and IPC() is the
-	// sampled estimate — while Sampled carries coverage and error bounds.
+	// Sampled is non-nil only for sampled runs (RunKernel / RunApp with an
+	// enabled SampleSpec, and the sampled experiment drivers). Cycles,
+	// Insts and Profile then cover the measured intervals only — the
+	// attribution identity Profile.Total() == Cycles still holds and IPC()
+	// is the sampled estimate — while Sampled carries coverage and error
+	// bounds.
 	Sampled *SampledInfo `json:"sampled,omitempty"`
 }
 
@@ -279,22 +284,13 @@ func KernelNames() []string {
 // maxDynInsts is the safety cap on dynamic instructions per run.
 const maxDynInsts = 400_000_000
 
-// RunKernel times one kernel on one machine configuration.
-func RunKernel(kernel string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
-	if err := m.CheckWidth(width); err != nil {
-		return Result{}, err
-	}
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	p := k.Build(i.ext())
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.Run(trace.NewLive(emu.New(p)), maxDynInsts)
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", kernel, i, width, err)
-	}
-	return fromCPU(kernel, i, width, m.Name(), res), nil
+// RunKernel times one kernel on one machine configuration through the
+// trace cache: the recorded trace is replayed when one is available, and
+// the workload is emulated live otherwise (bit-identical results either
+// way). An enabled spec samples the run; a disabled one, such as the zero
+// value, times it exactly.
+func RunKernel(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
+	return runWorkload(traceKey{name: kernel, isa: i, scale: sc}, width, m, sp, nil)
 }
 
 // VerifyKernel runs a kernel functionally and checks bit-exactness against
@@ -310,22 +306,9 @@ func VerifyKernel(kernel string, i ISA, sc Scale) error {
 // AppNames lists the five applications of the program-level study.
 func AppNames() []string { return apps.Names() }
 
-// RunApp times one full application on one machine configuration.
-func RunApp(app string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
-	if err := m.CheckWidth(width); err != nil {
-		return Result{}, err
-	}
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	p := a.Build(i.ext())
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.Run(trace.NewLive(emu.New(p)), maxDynInsts)
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", app, i, width, err)
-	}
-	return fromCPU(app, i, width, m.Name(), res), nil
+// RunApp is RunKernel for a full application.
+func RunApp(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
+	return runWorkload(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, sp, nil)
 }
 
 // VerifyApp runs an application functionally and checks its outputs.

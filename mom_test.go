@@ -200,10 +200,10 @@ func TestFormatters(t *testing.T) {
 
 // TestRunKernelErrors covers the error paths of the public API.
 func TestRunKernelErrors(t *testing.T) {
-	if _, err := RunKernel("nope", MOM, 4, PerfectMemory(1), ScaleTest); err == nil {
+	if _, err := RunKernel("nope", MOM, 4, PerfectMemory(1), ScaleTest, SampleSpec{}); err == nil {
 		t.Error("expected error for unknown kernel")
 	}
-	if _, err := RunApp("nope", MOM, 4, PerfectMemory(1), ScaleTest); err == nil {
+	if _, err := RunApp("nope", MOM, 4, PerfectMemory(1), ScaleTest, SampleSpec{}); err == nil {
 		t.Error("expected error for unknown app")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -27,17 +26,11 @@ type PipelineExport struct {
 }
 
 // exportPipeline runs one workload with the requested exporters attached.
-func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scale, opt PipelineOptions) (PipelineExport, error) {
+func exportPipeline(key traceKey, width int, m MemModel, opt PipelineOptions) (PipelineExport, error) {
 	if opt.Konata == nil && opt.Chrome == nil {
 		return PipelineExport{}, fmt.Errorf("mom: pipeline export needs at least one output (Konata or Chrome)")
 	}
-	var p *isa.Program
-	var err error
-	if app {
-		p, err = BuildApp(name, i, sc)
-	} else {
-		p, err = BuildKernel(name, i, sc)
-	}
+	p, err := key.program()
 	if err != nil {
 		return PipelineExport{}, err
 	}
@@ -56,7 +49,7 @@ func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scal
 		cw = obs.NewChrome(opt.Chrome, opt.Start, opt.Count, disasm)
 		observers = append(observers, cw)
 	}
-	res, err := runObserved(app, name, i, width, m, sc, SampleSpec{}, obs.Multi(observers...))
+	res, err := runWorkload(key, width, m, SampleSpec{}, obs.Multi(observers...))
 	if err != nil {
 		return PipelineExport{}, err
 	}
@@ -78,10 +71,10 @@ func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scal
 
 // ExportKernelPipeline exports the pipeline lifetimes of a kernel run.
 func ExportKernelPipeline(kernel string, i ISA, width int, m MemModel, sc Scale, opt PipelineOptions) (PipelineExport, error) {
-	return exportPipeline(false, kernel, i, width, m, sc, opt)
+	return exportPipeline(traceKey{name: kernel, isa: i, scale: sc}, width, m, opt)
 }
 
 // ExportAppPipeline exports the pipeline lifetimes of an application run.
 func ExportAppPipeline(app string, i ISA, width int, m MemModel, sc Scale, opt PipelineOptions) (PipelineExport, error) {
-	return exportPipeline(true, app, i, width, m, sc, opt)
+	return exportPipeline(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, opt)
 }

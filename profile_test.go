@@ -31,7 +31,7 @@ func TestProfileSumsToCycles(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", k, i), func(t *testing.T) {
 				t.Parallel()
 				for _, m := range machines {
-					res, err := RunKernel(k, i, m.width, m.model, ScaleTest)
+					res, err := RunKernel(k, i, m.width, m.model, ScaleTest, SampleSpec{})
 					if err != nil {
 						t.Fatalf("%d-way %s: %v", m.width, m.model.Name(), err)
 					}
@@ -56,7 +56,7 @@ func TestProfileSumsToCyclesApps(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s", a, i), func(t *testing.T) {
 			t.Parallel()
 			for _, m := range []MemModel{PerfectMemory(1), DetailedMemory(MultiAddress)} {
-				res, err := RunApp(a, i, 4, m, ScaleTest)
+				res, err := RunApp(a, i, 4, m, ScaleTest, SampleSpec{})
 				if err != nil {
 					t.Fatalf("%s: %v", m.Name(), err)
 				}
@@ -73,11 +73,11 @@ func TestProfileSumsToCyclesApps(t *testing.T) {
 // cycles must grow the memory-wait share of every scalar ISA's profile.
 func TestProfileMemWaitTracksLatency(t *testing.T) {
 	for _, i := range []ISA{Alpha, MMX} {
-		fast, err := RunKernel("motion1", i, 4, PerfectMemory(1), ScaleTest)
+		fast, err := RunKernel("motion1", i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := RunKernel("motion1", i, 4, PerfectMemory(50), ScaleTest)
+		slow, err := RunKernel("motion1", i, 4, PerfectMemory(50), ScaleTest, SampleSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestProfileMemWaitTracksLatency(t *testing.T) {
 // row must already have passed CheckInvariants inside ProfileStudy, and the
 // study must cover every kernel × ISA × both memories.
 func TestProfileStudyInvariants(t *testing.T) {
-	rows, err := ProfileStudy(context.Background(), ScaleTest, 4)
+	rows, err := ProfileStudy(context.Background(), ScaleTest, 4, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -354,13 +354,13 @@ func RunJobRequest(ctx context.Context, req JobRequest) ([]byte, error) {
 		rows, err := LatencyStudy(ctx, sc, n.Width)
 		return write(rows, err)
 	case "profile":
-		rows, err := ProfileStudySampled(ctx, sc, n.Width, sp)
+		rows, err := ProfileStudy(ctx, sc, n.Width, sp)
 		return write(rows, err)
 	case "fetch":
 		rows, err := FetchPressure(ctx, sc)
 		return write(rows, err)
 	case "hotspots":
-		reps, err := HotspotStudySampled(ctx, sc, n.Width, sp)
+		reps, err := HotspotStudy(ctx, sc, n.Width, sp)
 		return write(reps, err)
 	case "regsweep":
 		rows, err := RegisterSweep(ctx, sc, n.Kernel)
@@ -376,9 +376,9 @@ func RunJobRequest(ctx context.Context, req JobRequest) ([]byte, error) {
 		m, _ := ParseMemModel(n.Mem)
 		var res Result
 		if n.Exp == "kernel" {
-			res, err = RunKernelSampled(n.Kernel, level, n.Width, m, sc, sp)
+			res, err = RunKernel(n.Kernel, level, n.Width, m, sc, sp)
 		} else {
-			res, err = RunAppSampled(n.App, level, n.Width, m, sc, sp)
+			res, err = RunApp(n.App, level, n.Width, m, sc, sp)
 		}
 		if err != nil {
 			return nil, err

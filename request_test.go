@@ -77,13 +77,13 @@ func TestNarrowDetailedRunRejected(t *testing.T) {
 	if want == nil {
 		t.Fatal("validator accepted a 2-way detailed-memory app job")
 	}
-	for name, run := range map[string]func() (Result, error){
-		"RunKernel":        func() (Result, error) { return RunKernel("idct", MOM, 2, m, ScaleTest) },
-		"RunApp":           func() (Result, error) { return RunApp("jpegencode", MOM, 2, m, ScaleTest) },
-		"RunKernelSampled": func() (Result, error) { return RunKernelSampled("idct", MOM, 2, m, ScaleTest, SampleSpec{}) },
-		"RunAppSampled":    func() (Result, error) { return RunAppSampled("jpegencode", MOM, 2, m, ScaleTest, SampleSpec{}) },
+	for name, call := range map[string]func() (Result, error){
+		"RunKernel":         func() (Result, error) { return RunKernel("idct", MOM, 2, m, ScaleTest, SampleSpec{}) },
+		"RunApp":            func() (Result, error) { return RunApp("jpegencode", MOM, 2, m, ScaleTest, SampleSpec{}) },
+		"RunKernel sampled": func() (Result, error) { return RunKernel("idct", MOM, 2, m, ScaleTest, DefaultSampleSpec) },
+		"RunApp sampled":    func() (Result, error) { return RunApp("jpegencode", MOM, 2, m, ScaleTest, DefaultSampleSpec) },
 	} {
-		if _, err := run(); err == nil || err.Error() != want.Error() {
+		if _, err := call(); err == nil || err.Error() != want.Error() {
 			t.Errorf("%s at width 2 on %s: error %v, want %v", name, m.Name(), err, want)
 		}
 	}
@@ -121,7 +121,7 @@ func TestRequestKeyStability(t *testing.T) {
 // schema version, and encoding the same rows twice yields identical
 // bytes (the property the content-addressed store depends on).
 func TestEnvelopeSchemaAndDeterminism(t *testing.T) {
-	res, err := RunKernel("idct", MOM, 4, PerfectMemory(1), ScaleTest)
+	res, err := RunKernel("idct", MOM, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

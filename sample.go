@@ -23,11 +23,11 @@ type SampleSpec struct {
 
 	// Parallelism is the worker count for the checkpoint-based parallel
 	// interval path (cpu.SampleSpec.Parallelism); 1 forces the serial loop.
-	// 0 — the default — is automatic: a single run (RunAppSampled,
-	// RunKernelSampled) uses every host core (runtime.GOMAXPROCS), while a
-	// driver that already fans many sampled runs out over the cores
-	// (Figure7Sampled, ProfileStudySampled) gives each run its share of
-	// them, at least one (see fanOut). The knob is a pure speed lever:
+	// 0 — the default — is automatic: a single run (RunKernel, RunApp)
+	// uses every host core (runtime.GOMAXPROCS), while a driver that
+	// already fans many sampled runs out over the cores (Figure7Sampled,
+	// ProfileStudy) gives each run its share of them, at least one (see
+	// fanOut). The knob is a pure speed lever:
 	// results are bit-identical at any value, so it is excluded from JSON
 	// envelopes and content-address keys (see JobRequest).
 	Parallelism int `json:"-"`
@@ -159,30 +159,4 @@ func estOrExactCycles(r Result) int64 {
 		return r.Sampled.EstCycles
 	}
 	return r.Cycles
-}
-
-// RunKernelSampled times one kernel under the sampling regime. Unlike the
-// always-live RunKernel it routes through the trace cache: functional
-// fast-forward only wins wall-clock when it skips over a recording instead
-// of re-emulating, so sampled runs capture once and sample the replay. A
-// disabled spec reproduces RunKernel's result exactly.
-func RunKernelSampled(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	if err := m.CheckWidth(width); err != nil {
-		return Result{}, err
-	}
-	if err := sp.Validate(); err != nil {
-		return Result{}, err
-	}
-	return runKernelCached(kernel, i, width, m, sc, sp)
-}
-
-// RunAppSampled is RunKernelSampled for a full application.
-func RunAppSampled(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	if err := m.CheckWidth(width); err != nil {
-		return Result{}, err
-	}
-	if err := sp.Validate(); err != nil {
-		return Result{}, err
-	}
-	return runAppCached(app, i, width, m, sc, sp)
 }

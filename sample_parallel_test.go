@@ -29,11 +29,11 @@ func TestSampledParallelBitIdenticalApps(t *testing.T) {
 					}
 					serialSpec := DefaultSampleSpec
 					serialSpec.Parallelism = 1
-					serial, err := RunAppSampled(app, i, 4, m, ScaleTest, serialSpec)
+					serial, err := RunApp(app, i, 4, m, ScaleTest, serialSpec)
 					if err != nil {
 						t.Fatal(err)
 					}
-					par, err := RunAppSampled(app, i, 4, m, ScaleTest, DefaultSampleSpec)
+					par, err := RunApp(app, i, 4, m, ScaleTest, DefaultSampleSpec)
 					if err != nil {
 						t.Fatal(err)
 					}

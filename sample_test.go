@@ -27,11 +27,11 @@ func TestSampledAccuracyApps(t *testing.T) {
 		for _, i := range AllISAs {
 			app, i := app, i
 			t.Run(fmt.Sprintf("%s/%s", app, i), func(t *testing.T) {
-				exact, err := RunApp(app, i, 4, DetailedMemory(MultiAddress), ScaleTest)
+				exact, err := RunApp(app, i, 4, DetailedMemory(MultiAddress), ScaleTest, SampleSpec{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunAppSampled(app, i, 4, DetailedMemory(MultiAddress), ScaleTest, sp)
+				res, err := RunApp(app, i, 4, DetailedMemory(MultiAddress), ScaleTest, sp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,15 +84,17 @@ func TestSampledAccuracyApps(t *testing.T) {
 }
 
 // TestSampledDisabledBitIdentical: with sampling compiled in but disabled
-// (the zero spec), the sampled entry points must reproduce the exact path's
-// Result verbatim — the regression guard for "exact mode stays default and
-// bit-identical".
+// (a spec with no interval, even one carrying a worker count), RunKernel
+// and RunApp must reproduce the live exact path's Result verbatim — the
+// regression guard for "exact mode stays default and bit-identical".
 func TestSampledDisabledBitIdentical(t *testing.T) {
-	exactK, err := RunKernel("idct", MOM, 4, DetailedMemory(MultiAddress), ScaleTest)
+	off := SampleSpec{Parallelism: 3}
+	m := DetailedMemory(MultiAddress)
+	exactK, err := liveResult(traceKey{name: "idct", isa: MOM, scale: ScaleTest}, 4, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaK, err := RunKernelSampled("idct", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, SampleSpec{})
+	viaK, err := RunKernel("idct", MOM, 4, m, ScaleTest, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +102,11 @@ func TestSampledDisabledBitIdentical(t *testing.T) {
 		t.Errorf("disabled-spec kernel run differs from exact:\n%+v\nvs\n%+v", viaK, exactK)
 	}
 
-	exactA, err := RunApp("gsmencode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest)
+	exactA, err := liveResult(traceKey{app: true, name: "gsmencode", isa: MOM, scale: ScaleTest}, 4, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaA, err := RunAppSampled("gsmencode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, SampleSpec{})
+	viaA, err := RunApp("gsmencode", MOM, 4, m, ScaleTest, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +119,11 @@ func TestSampledDisabledBitIdentical(t *testing.T) {
 // window re-anchoring offsets are deterministic, so two sampled runs of the
 // same workload agree field for field.
 func TestSampledDeterministic(t *testing.T) {
-	a, err := RunAppSampled("jpegdecode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, DefaultSampleSpec)
+	a, err := RunApp("jpegdecode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, DefaultSampleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAppSampled("jpegdecode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, DefaultSampleSpec)
+	b, err := RunApp("jpegdecode", MOM, 4, DetailedMemory(MultiAddress), ScaleTest, DefaultSampleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,22 @@ var equivConfigs = []struct {
 	{8, DetailedMemory(MultiAddress)},
 }
 
+// liveResult times a workload on the live interleaved emulate-and-time
+// path, outside the trace cache: the reference the replay side of the
+// equivalence tests is checked against.
+func liveResult(key traceKey, width int, m MemModel) (Result, error) {
+	p, err := key.program()
+	if err != nil {
+		return Result{}, err
+	}
+	sim := cpu.New(cpu.NewConfig(width, key.isa.ext()), m.build(width))
+	res, err := sim.Run(trace.NewLive(emu.New(p)), maxDynInsts)
+	if err != nil {
+		return Result{}, err
+	}
+	return fromCPU(key.name, key.isa, width, m.Name(), res), nil
+}
+
 // TestTraceReplayEquivalence is the contract of the capture/replay engine:
 // timing a workload from its recorded trace must produce a Result
 // field-for-field identical to the live interleaved emulate-and-time path,
@@ -38,17 +54,17 @@ func TestTraceReplayEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", k, i), func(t *testing.T) {
 				t.Parallel()
 				for _, c := range equivConfigs {
-					live, err := RunKernel(k, i, c.width, c.model, ScaleTest)
+					key := traceKey{name: k, isa: i, scale: ScaleTest}
+					live, err := liveResult(key, c.width, c.model)
 					if err != nil {
 						t.Fatalf("live %d-way %s: %v", c.width, c.model.Name(), err)
 					}
-					key := traceKey{name: k, isa: i, scale: ScaleTest}
-					replay, ok, err := runTraced(key, c.width, c.model, SampleSpec{})
+					if cachedTrace(key) == nil {
+						t.Fatalf("no trace captured for %s/%s", k, i)
+					}
+					replay, err := runWorkload(key, c.width, c.model, SampleSpec{}, nil)
 					if err != nil {
 						t.Fatalf("replay %d-way %s: %v", c.width, c.model.Name(), err)
-					}
-					if !ok {
-						t.Fatalf("no trace captured for %s/%s", k, i)
 					}
 					if !reflect.DeepEqual(live, replay) {
 						t.Errorf("%d-way %s: replay diverges from live\nlive:   %+v\nreplay: %+v",
@@ -178,17 +194,17 @@ func TestTraceReplayEquivalenceApps(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s", a, i), func(t *testing.T) {
 			t.Parallel()
 			for _, c := range equivConfigs {
-				live, err := RunApp(a, i, c.width, c.model, ScaleTest)
+				key := traceKey{app: true, name: a, isa: i, scale: ScaleTest}
+				live, err := liveResult(key, c.width, c.model)
 				if err != nil {
 					t.Fatalf("live %d-way %s: %v", c.width, c.model.Name(), err)
 				}
-				key := traceKey{app: true, name: a, isa: i, scale: ScaleTest}
-				replay, ok, err := runTraced(key, c.width, c.model, SampleSpec{})
+				if cachedTrace(key) == nil {
+					t.Fatalf("no trace captured for %s/%s", a, i)
+				}
+				replay, err := runWorkload(key, c.width, c.model, SampleSpec{}, nil)
 				if err != nil {
 					t.Fatalf("replay %d-way %s: %v", c.width, c.model.Name(), err)
-				}
-				if !ok {
-					t.Fatalf("no trace captured for %s/%s", a, i)
 				}
 				if !reflect.DeepEqual(live, replay) {
 					t.Errorf("%d-way %s: replay diverges from live\nlive:   %+v\nreplay: %+v",

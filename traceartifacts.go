@@ -159,7 +159,7 @@ func decodeBudgeted(r io.Reader, prog *isa.Program) (tr *trace.Trace, budgetRefu
 // budget. A fetched artifact is written through to the local store so the
 // next restart finds it on disk. tr == nil with budgetRefused == true means
 // a valid artifact exists but cannot be materialised within TraceCacheBytes
-// right now; runTraced streams it from disk instead of running live.
+// right now; run streams it from disk instead of running live.
 func loadArtifact(key traceKey) (tr *trace.Trace, budgetRefused bool) {
 	st := artifactStore.Load()
 	f := traceFetcher.Load()

@@ -2,6 +2,8 @@ package mom
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -108,7 +110,7 @@ func TestArtifactReplayEquivalenceReopenedStore(t *testing.T) {
 		key := traceKey{app: true, name: app, isa: i, scale: ScaleTest}
 		installArtifactDir(t, dir)
 		resetTraceEntry(t, key)
-		fresh, err := runAppCached(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+		fresh, err := RunApp(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 		if err != nil {
 			t.Fatalf("%s/%s fresh run: %v", app, i, err)
 		}
@@ -117,7 +119,7 @@ func TestArtifactReplayEquivalenceReopenedStore(t *testing.T) {
 		// Reopen the directory as a brand-new store and drop the RAM slot.
 		installArtifactDir(t, dir)
 		resetTraceEntry(t, key)
-		warm, err := runAppCached(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+		warm, err := RunApp(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 		if err != nil {
 			t.Fatalf("%s/%s warm run: %v", app, i, err)
 		}
@@ -360,7 +362,7 @@ func TestArtifactStreamReplay(t *testing.T) {
 	key := traceKey{name: "motion1", isa: MOM, scale: ScaleTest}
 	resetTraceEntry(t, key)
 	defer resetTraceEntry(t, key)
-	want, err := runKernelCached(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+	want, err := RunKernel(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatalf("warm-up run: %v", err)
 	}
@@ -374,7 +376,7 @@ func TestArtifactStreamReplay(t *testing.T) {
 	traceCache.mu.Unlock()
 	base := ReadTraceStats()
 
-	got, err := runKernelCached(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+	got, err := RunKernel(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatalf("streamed run: %v", err)
 	}
@@ -405,6 +407,178 @@ func TestArtifactStreamReplay(t *testing.T) {
 	}
 }
 
+// starveTraceBudget shrinks TraceCacheBytes to one byte above what the RAM
+// cache already holds, so no further trace — captured or decoded — fits,
+// and restores the old budget when the test ends.
+func starveTraceBudget(t *testing.T) {
+	t.Helper()
+	old := TraceCacheBytes
+	traceCache.mu.Lock()
+	TraceCacheBytes = traceCache.bytes + 1
+	traceCache.mu.Unlock()
+	t.Cleanup(func() {
+		traceCache.mu.Lock()
+		TraceCacheBytes = old
+		traceCache.mu.Unlock()
+	})
+}
+
+// TestEntryPointsStream: with the RAM budget starved and the artifacts on
+// disk, every timed entry point streams — each of its runs adds one
+// StreamReplay and one Replay, none runs live — and returns exactly what it
+// returned when replaying from RAM.
+func TestEntryPointsStream(t *testing.T) {
+	ctx := context.Background()
+	kern := traceKey{name: "idct", isa: MOM, scale: ScaleTest}
+	app := traceKey{app: true, name: "gsmencode", isa: MOM, scale: ScaleTest}
+	var fig7 []traceKey // MOM keys repeat, one per MOM configuration
+	for _, a := range AppNames() {
+		for _, cfg := range Figure7Configs {
+			fig7 = append(fig7, traceKey{app: true, name: a, isa: cfg.ISA, scale: ScaleTest})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		keys []traceKey
+		runs int64
+		call func() (any, error)
+	}{
+		{"RunKernel", []traceKey{kern}, 1, func() (any, error) {
+			return RunKernel(kern.name, kern.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+		}},
+		{"RunApp", []traceKey{app}, 1, func() (any, error) {
+			return RunApp(app.name, app.isa, 4, DetailedMemory(MultiAddress), ScaleTest, DefaultSampleSpec)
+		}},
+		{"KernelHotspots", []traceKey{kern}, 1, func() (any, error) {
+			return KernelHotspots(kern.name, kern.isa, 4, PerfectMemory(1), ScaleTest)
+		}},
+		{"ExportKernelPipeline", []traceKey{kern}, 1, func() (any, error) {
+			var konata bytes.Buffer
+			exp, err := ExportKernelPipeline(kern.name, kern.isa, 4, PerfectMemory(1), ScaleTest,
+				PipelineOptions{Count: 500, Konata: &konata})
+			return []any{exp, konata.String()}, err
+		}},
+		{"RegisterSweep", []traceKey{kern}, 5, func() (any, error) {
+			return RegisterSweep(ctx, ScaleTest, kern.name)
+		}},
+		{"MemorySweep", []traceKey{app}, 6, func() (any, error) {
+			return MemorySweep(ctx, ScaleTest, app.name)
+		}},
+		{"Figure7Sampled", fig7, 50, func() (any, error) {
+			return Figure7Sampled(ctx, ScaleTest, DefaultSampleSpec)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			installArtifactDir(t, t.TempDir())
+			for _, k := range tc.keys {
+				resetTraceEntry(t, k)
+				defer resetTraceEntry(t, k)
+			}
+			// Cold: capture, write the artifacts through, replay from RAM.
+			want, err := tc.call()
+			if err != nil {
+				t.Fatalf("RAM replay: %v", err)
+			}
+			for _, k := range tc.keys {
+				resetTraceEntry(t, k)
+			}
+			starveTraceBudget(t)
+			base := ReadTraceStats()
+			got, err := tc.call()
+			if err != nil {
+				t.Fatalf("streamed: %v", err)
+			}
+			st := ReadTraceStats()
+			if s := st.StreamReplays - base.StreamReplays; s != tc.runs {
+				t.Errorf("%d stream replays, want %d", s, tc.runs)
+			}
+			if r := st.Replays - base.Replays; r != tc.runs {
+				t.Errorf("%d replays, want %d", r, tc.runs)
+			}
+			if l := st.LiveRuns - base.LiveRuns; l != 0 {
+				t.Errorf("%d live runs, want 0", l)
+			}
+			if c := st.Captures - base.Captures; c != 0 {
+				t.Errorf("%d captures, want 0", c)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("streamed result diverged from RAM replay:\nwant %+v\ngot  %+v", want, got)
+			}
+		})
+	}
+}
+
+// TestArtifactStreamCorruptMidway: an artifact whose header verifies but
+// whose last frame is damaged is dropped from the store the first time a
+// stream reaches the damage, whoever the caller. An unobserved run starts
+// over live and returns the RAM replay's result; an observed run — its
+// observer has already seen part of the stream — may only fail or return
+// that same result, and the next call must return it.
+func TestArtifactStreamCorruptMidway(t *testing.T) {
+	key := traceKey{app: true, name: "gsmencode", isa: MOM, scale: ScaleTest}
+	m := PerfectMemory(1)
+	for _, tc := range []struct {
+		name     string
+		observed bool
+		call     func() (any, error)
+	}{
+		{"RunApp", false, func() (any, error) { return RunApp(key.name, key.isa, 4, m, ScaleTest, SampleSpec{}) }},
+		{"AppHotspots", true, func() (any, error) { return AppHotspots(key.name, key.isa, 4, m, ScaleTest) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := installArtifactDir(t, dir)
+			resetTraceEntry(t, key)
+			defer resetTraceEntry(t, key)
+			want, err := tc.call()
+			if err != nil {
+				t.Fatalf("RAM replay: %v", err)
+			}
+			p := artifactPath(t, dir, key)
+			blob, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob[len(blob)-1] ^= 0xff // the last frame's payload
+			if err := os.WriteFile(p, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resetTraceEntry(t, key)
+			starveTraceBudget(t)
+
+			base := ReadTraceStats()
+			got, err := tc.call()
+			if st.Has(key.artifactKey()) {
+				t.Fatal("the corrupt artifact is still in the store")
+			}
+			switch {
+			case err != nil && !tc.observed:
+				t.Fatalf("unobserved run over a corrupt stream failed: %v", err)
+			case err != nil && !errors.Is(err, trace.ErrFormat):
+				t.Fatalf("observed run failed with %v, want the artifact's ErrFormat", err)
+			case err == nil && !reflect.DeepEqual(want, got):
+				t.Fatalf("run over a corrupt stream diverged from RAM replay:\nwant %+v\ngot  %+v", want, got)
+			}
+			if err != nil {
+				got, err = tc.call()
+				if err != nil {
+					t.Fatalf("call after the corrupt artifact was dropped: %v", err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("call after the drop diverged from RAM replay:\nwant %+v\ngot  %+v", want, got)
+				}
+			}
+			stats := ReadTraceStats()
+			if s := stats.StreamReplays - base.StreamReplays; s != 0 {
+				t.Errorf("the failed stream counted as %d stream replays", s)
+			}
+			if l := stats.LiveRuns - base.LiveRuns; l != 1 {
+				t.Errorf("%d live runs, want 1", l)
+			}
+		})
+	}
+}
+
 // TestLiveCauseSplit: the live-fallback counter attributes budget-starved
 // runs to LiveBudget and permanently failed captures to LiveFault.
 func TestLiveCauseSplit(t *testing.T) {
@@ -416,7 +590,7 @@ func TestLiveCauseSplit(t *testing.T) {
 	traceCache.entries[key] = &traceEntry{state: capFailed}
 	traceCache.mu.Unlock()
 	base := ReadTraceStats()
-	if _, err := runKernelCached(key.name, key.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
+	if _, err := RunKernel(key.name, key.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
 		t.Fatalf("live run over a failed slot: %v", err)
 	}
 	st := ReadTraceStats()
@@ -445,7 +619,7 @@ func TestLiveCauseSplit(t *testing.T) {
 		traceCache.mu.Unlock()
 	}()
 	base = ReadTraceStats()
-	if _, err := runKernelCached(key2.name, key2.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
+	if _, err := RunKernel(key2.name, key2.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
 		t.Fatalf("live run under budget contention: %v", err)
 	}
 	st = ReadTraceStats()

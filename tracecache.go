@@ -8,11 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/emu"
-	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
 )
@@ -241,21 +240,11 @@ func acquireTrace(key traceKey) (tr *trace.Trace, permanent bool) {
 // later attempt can succeed: a build or emulation fault, or a grant that
 // would not fit even with every competing reservation released.
 func captureTrace(key traceKey) (tr *trace.Trace, permanent bool) {
-	var m *emu.Machine
-	switch {
-	case key.app:
-		a, err := apps.ByName(key.name, apps.Scale(key.scale))
-		if err != nil {
-			return nil, true
-		}
-		m = emu.New(a.Build(key.isa.ext()))
-	default:
-		k, err := kernels.ByName(key.name, kernels.Scale(key.scale))
-		if err != nil {
-			return nil, true
-		}
-		m = emu.New(k.Build(key.isa.ext()))
+	p, err := key.program()
+	if err != nil {
+		return nil, true
 	}
+	m := emu.New(p)
 	var mine int64
 	canNeverFit := false
 	reserve := func(n int64) bool {
@@ -292,122 +281,88 @@ func captureTrace(key traceKey) (tr *trace.Trace, permanent bool) {
 	return tr, false
 }
 
-// runTraced times one workload from its recorded trace, sampled when sp is
-// enabled (RunSampled with a disabled spec is exactly Run). When the trace
-// cannot be materialised in RAM for budget but a disk artifact exists, the
-// run streams straight from the file. ok is false when no trace is
-// available at all — the live-fallback cause has already been counted and
-// the caller must run live.
-func runTraced(key traceKey, width int, m MemModel, sp SampleSpec) (Result, bool, error) {
-	tr, cause := cachedTraceCause(key)
-	if tr == nil {
-		if cause == liveBudget {
-			if res, ok, err := runStreamed(key, width, m, sp); ok {
-				return res, true, err
-			}
-		}
-		countLiveRun(cause)
-		return Result{}, false, nil
-	}
-	sim := cpu.New(cpu.NewConfig(width, key.isa.ext()), m.build(width))
-	t0 := time.Now()
-	res, err := sim.RunSampled(tr.Reader(), maxDynInsts, sp.cpu())
-	traceStats.replays.Add(1)
-	traceStats.replayNS.Add(int64(time.Since(t0)))
-	if err != nil {
-		return Result{}, true, err
-	}
-	return fromCPU(key.name, key.isa, width, m.Name(), res), true, nil
-}
-
-// runStreamed feeds one timing run straight from the disk artifact — the
-// replay path of a trace too large to materialise under TraceCacheBytes but
-// already persisted. The streaming decoder keeps memory at one chunk; a
-// corruption surfaced mid-replay drops the artifact and reports ok=false so
-// the caller falls back to live emulation (never a wrong result: the
-// decoder verifies every frame before the timing model sees its records).
-func runStreamed(key traceKey, width int, m MemModel, sp SampleSpec) (Result, bool, error) {
-	src, closer, ok := openArtifactStream(key)
-	if !ok {
-		return Result{}, false, nil
-	}
-	defer closer.Close()
-	sim := cpu.New(cpu.NewConfig(width, key.isa.ext()), m.build(width))
-	t0 := time.Now()
-	res, err := sim.RunSampled(src, maxDynInsts, sp.cpu())
-	if err != nil {
-		if src.Err() != nil {
-			invalidateArtifact(key)
-			return Result{}, false, nil
-		}
-		return Result{}, true, err
-	}
-	traceStats.replays.Add(1)
-	traceStats.streamReplays.Add(1)
-	traceStats.replayNS.Add(int64(time.Since(t0)))
-	return fromCPU(key.name, key.isa, width, m.Name(), res), true, nil
-}
-
-// runKernelCached is RunKernel through the trace cache: replay when a trace
-// is available, live emulation otherwise. The sample spec applies on both
-// paths (sampling over a live source saves no capture time but produces
-// the same kind of estimate).
-func runKernelCached(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	key := traceKey{name: kernel, isa: i, scale: sc}
-	if res, ok, err := runTraced(key, width, m, sp); ok {
-		return res, err
-	}
-	if !sp.Enabled() {
-		return RunKernel(kernel, i, width, m, sc)
-	}
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.RunSampled(trace.NewLive(emu.New(k.Build(i.ext()))), maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", kernel, i, width, err)
-	}
-	return fromCPU(kernel, i, width, m.Name(), res), nil
-}
-
-// runAppCached is RunApp through the trace cache.
-func runAppCached(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	key := traceKey{app: true, name: app, isa: i, scale: sc}
-	if res, ok, err := runTraced(key, width, m, sp); ok {
-		return res, err
-	}
-	if !sp.Enabled() {
-		return RunApp(app, i, width, m, sc)
-	}
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.RunSampled(trace.NewLive(emu.New(a.Build(i.ext()))), maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", app, i, width, err)
-	}
-	return fromCPU(app, i, width, m.Name(), res), nil
-}
-
-// runConfig times one run under an explicit processor configuration,
-// replaying the trace when one is available and otherwise falling back to a
-// live machine built by mk; cause says why tr is nil so the fallback is
-// attributed correctly (callers obtain both from cachedTraceCause).
-func runConfig(cfg cpu.Config, model mem.Model, tr *trace.Trace, cause liveCause, mk func() *emu.Machine) (cpu.Result, error) {
+// run is the one way a workload is timed: every entry point — RunKernel,
+// RunApp, the experiment drivers, the hotspot and pipeline-export runs and
+// the resource ablations — comes through here. It simulates cfg over model,
+// sampled when sp is enabled and with o (when non-nil) attached to the
+// pipeline, taking its source in a fixed order:
+//
+//  1. the recorded trace from the RAM cache;
+//  2. a stream of the disk artifact, when the RAM budget refuses the trace;
+//  3. live emulation of key.program().
+//
+// Each run that gets to time its source counts exactly once: Replays and
+// ReplayTime (and StreamReplays for a stream), or LiveRuns with its cause;
+// an aborted stream counts nothing. A stream that turns out to be
+// corrupt part-way through drops the artifact — the decoder verifies every
+// frame before the timing model sees its records, so the run was short,
+// never wrong — and the run starts over live on a reset memory model. An
+// observed run returns the error instead: its observer has already seen
+// part of the stream. The next call runs live.
+func run(key traceKey, cfg cpu.Config, model mem.Model, sp SampleSpec, o obs.Observer) (cpu.Result, error) {
 	sim := cpu.New(cfg, model)
+	sim.Obs = o
+	timed := func(src trace.Source) (cpu.Result, error) {
+		res, err := sim.RunSampled(src, maxDynInsts, sp.cpu())
+		if err != nil {
+			err = fmt.Errorf("mom: %s on %s/%d-way: %w", key.name, key.isa, cfg.Width, err)
+		}
+		return res, err
+	}
+	tr, cause := cachedTraceCause(key)
 	if tr != nil {
 		t0 := time.Now()
-		res, err := sim.Run(tr.Reader(), maxDynInsts)
-		traceStats.replays.Add(1)
-		traceStats.replayNS.Add(int64(time.Since(t0)))
+		res, err := timed(tr.Reader())
+		countReplay(t0, false)
 		return res, err
 	}
+	if cause == liveBudget {
+		if src, closer, ok := openArtifactStream(key); ok {
+			t0 := time.Now()
+			res, err := timed(src)
+			closer.Close()
+			if src.Err() == nil {
+				countReplay(t0, true)
+				return res, err
+			}
+			invalidateArtifact(key)
+			if o != nil {
+				return cpu.Result{}, err
+			}
+			model.Reset()
+		}
+	}
+	p, err := key.program()
+	if err != nil {
+		return cpu.Result{}, err
+	}
 	countLiveRun(cause)
-	return sim.Run(trace.NewLive(mk()), maxDynInsts)
+	return timed(trace.NewLive(emu.New(p)))
+}
+
+// countReplay records one trace-fed timing run started at t0.
+func countReplay(t0 time.Time, streamed bool) {
+	traceStats.replays.Add(1)
+	traceStats.replayNS.Add(int64(time.Since(t0)))
+	if streamed {
+		traceStats.streamReplays.Add(1)
+	}
+}
+
+// runWorkload checks a run on a named machine — issue width, memory model,
+// sample spec — and times it through run.
+func runWorkload(key traceKey, width int, m MemModel, sp SampleSpec, o obs.Observer) (Result, error) {
+	if err := m.CheckWidth(width); err != nil {
+		return Result{}, err
+	}
+	if err := sp.Validate(); err != nil {
+		return Result{}, err
+	}
+	res, err := run(key, cpu.NewConfig(width, key.isa.ext()), m.build(width), sp, o)
+	if err != nil {
+		return Result{}, err
+	}
+	return fromCPU(key.name, key.isa, width, m.Name(), res), nil
 }
 
 // CaptureWorkloadTrace returns the recorded trace of one workload through
